@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .concepts import (
+    ConditionalConstraint,
     FuzzyInclusion,
+    ProbAssertion,
     Signature,
     StrictInclusion,
     Typ,
@@ -27,6 +28,7 @@ from .concepts import (
 )
 from .errors import ActivationPreconditionError, ParseError, PrefnetError
 from .fuzzy import (
+    EPS_CMP,
     ZADEH,
     check_axiom,
     get_family,
@@ -74,21 +76,16 @@ class RunConfig:
     logic: str = "zadeh"
     threshold_mode: str = "nonzero"
     typ_fuzzy_sem: str = "implication"
-    seed: int | None = None
     out: str | None = None
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
+    return RunConfig(
         logic=getattr(args, "logic", "zadeh"),
         threshold_mode=getattr(args, "threshold_mode", "nonzero"),
         typ_fuzzy_sem=getattr(args, "typ_fuzzy_sem", "implication"),
-        seed=getattr(args, "seed", None),
         out=getattr(args, "out", None),
     )
-    if cfg.seed is not None:
-        random.seed(cfg.seed)
-    return cfg
 
 
 def _emit(payload: str, cfg: RunConfig) -> None:
@@ -293,16 +290,15 @@ def _cmd_prob(args: argparse.Namespace) -> int:
         qkb = load_kb(args.queries)
         for ax in qkb.extra:
             entry: dict = {"axiom": axiom_to_text(ax)}
-            kind = type(ax).__name__
-            if kind == "ConditionalConstraint":
+            if isinstance(ax, ConditionalConstraint):
                 entry["ratio"] = conditional_prob(fpi, ax.left, ax.given)
                 entry["holds"] = check_conditional(
                     fpi, ax.left, ax.given, ax.lower, ax.upper
                 )
-            elif kind == "ProbAssertion":
+            elif isinstance(ax, ProbAssertion):
                 value = nominal_conditional(fpi, ax.concept, ax.individual)
                 entry["value"] = value
-                entry["holds"] = abs(value - ax.prob) <= 1e-9
+                entry["holds"] = abs(value - ax.prob) <= EPS_CMP
             else:
                 entry["holds"] = check_axiom(interp, ZADEH, ax)
             results.append(entry)
@@ -323,7 +319,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         default="zadeh",
         help="truth-function family for fuzzy evaluation",
     )
-    sub.add_argument("--seed", type=int, default=None, help="seed for randomized runs")
     sub.add_argument("--out", default=None, help="write output to this file")
 
 

@@ -21,6 +21,15 @@ the finite domain::
     (forall r.C)(x) = min_y impl(r(x, y), C(y))
 
 and the degree of an inclusion C [= D is ``min_x impl(C(x), D(x))``.
+
+:func:`degrees` evaluates a concept over the whole domain at once and
+memoises every sub-concept on the interpretation.  Quantifiers read only
+the role successors of each element.  That is exact: every family has
+``tnorm(0, a) = 0`` and ``impl(0, a) = 1``, and all t-norm values are
+>= 0 and all implication values <= 1, so a non-successor can neither
+raise the existential maximum above 0 nor lower the universal minimum
+below 1.  An element without successors gets 0 and 1 respectively.
+
 Degree comparisons use a tolerance of ``EPS_CMP`` for ``>=`` and ``<=``
 and are exact for ``>`` and ``<``.
 """
@@ -67,6 +76,7 @@ __all__ = [
     "get_family",
     "FuzzyInterpretation",
     "crisp_interpretation",
+    "degrees",
     "eval_concept",
     "eval_inclusion",
     "check_axiom",
@@ -122,6 +132,8 @@ PRODUCT = LogicFamily(
     impl=lambda a, b: 1.0 if a <= b else b / a,
 )
 
+# Quantifiers fold over role successors only (see ``degrees``), which
+# every family here supports: tnorm(0, a) == 0 and impl(0, a) == 1.
 FAMILIES = {f.name: f for f in (ZADEH, GOEDEL, LUKASIEWICZ, PRODUCT)}
 
 
@@ -138,26 +150,36 @@ class FuzzyInterpretation:
     """A finite fuzzy first-order structure.
 
     Treat instances as immutable after construction; evaluation never
-    mutates them.  ``concepts`` keys declare the known concept names, and
-    looking up an undeclared name is an error, while a declared concept
-    simply reads 0 at elements missing from its row.
+    mutates them, and :func:`degrees` memoises its results on them.
+    ``concepts`` keys declare the known concept names, and looking up an
+    undeclared name is an error, while a declared concept simply reads 0
+    at elements missing from its row.
     """
 
     domain: tuple[str, ...]
     concepts: dict[str, dict[str, float]] = field(default_factory=dict)
     roles: dict[str, dict[tuple[str, str], float]] = field(default_factory=dict)
     individuals: dict[str, str] = field(default_factory=dict)
+    # Derived at construction: element -> position, role -> per-element
+    # successor lists [(position, degree)], crispness, and the memo.
+    index: dict[str, int] = field(init=False, compare=False, repr=False)
+    successors: dict[str, list[list[tuple[int, float]]]] = field(
+        init=False, compare=False, repr=False
+    )
+    is_crisp: bool = field(init=False, compare=False, repr=False)
+    _memo: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.domain = tuple(self.domain)
         if not self.domain:
             raise ValueError("the domain must be nonempty")
-        if len(set(self.domain)) != len(self.domain):
+        self.index = {x: i for i, x in enumerate(self.domain)}
+        if len(self.index) != len(self.domain):
             raise ValueError("domain elements must be unique")
-        members = set(self.domain)
+        crisp = True
         for cname, row in self.concepts.items():
             for elem, deg in row.items():
-                if elem not in members:
+                if elem not in self.index:
                     raise ValueError(
                         f"concept {cname!r} mentions unknown element {elem!r}"
                     )
@@ -165,9 +187,12 @@ class FuzzyInterpretation:
                     raise ValueError(
                         f"degree {deg!r} of {cname!r} at {elem!r} is outside [0,1]"
                     )
+                crisp = crisp and deg in (0.0, 1.0)
+        self.successors = {}
         for rname, row in self.roles.items():
+            succ: list[list[tuple[int, float]]] = [[] for _ in self.domain]
             for (x, y), deg in row.items():
-                if x not in members or y not in members:
+                if x not in self.index or y not in self.index:
                     raise ValueError(
                         f"role {rname!r} mentions an unknown element in ({x!r}, {y!r})"
                     )
@@ -175,8 +200,12 @@ class FuzzyInterpretation:
                     raise ValueError(
                         f"degree {deg!r} of {rname!r} at ({x!r}, {y!r}) is outside [0,1]"
                     )
+                crisp = crisp and deg in (0.0, 1.0)
+                succ[self.index[x]].append((self.index[y], deg))
+            self.successors[rname] = succ
+        self.is_crisp = crisp
         for ind, elem in self.individuals.items():
-            if elem not in members:
+            if elem not in self.index:
                 raise ValueError(
                     f"individual {ind!r} maps to unknown element {elem!r}"
                 )
@@ -196,18 +225,6 @@ class FuzzyInterpretation:
             return self.individuals[individual]
         except KeyError:
             raise UnknownNameError(f"unknown individual name {individual!r}") from None
-
-    @property
-    def is_crisp(self) -> bool:
-        for row in self.concepts.values():
-            for deg in row.values():
-                if deg != 0.0 and deg != 1.0:
-                    return False
-        for row in self.roles.values():
-            for deg in row.values():
-                if deg != 0.0 and deg != 1.0:
-                    return False
-        return True
 
 
 def crisp_interpretation(
@@ -237,46 +254,48 @@ def crisp_interpretation(
 # Evaluation
 
 
-def eval_concept(
-    interp: FuzzyInterpretation, family: LogicFamily, concept: Concept, x: str
-) -> float:
-    """The degree to which element x belongs to the concept."""
+def degrees(
+    interp: FuzzyInterpretation, family: LogicFamily, concept: Concept
+) -> tuple[float, ...]:
+    """The concept's membership degree at every element, in domain order.
+
+    Results are memoised on the interpretation per family and
+    sub-concept, and shared between callers, hence a tuple.
+    """
+    key = (family.name, concept)
+    vec = interp._memo.get(key)
+    if vec is None:
+        vec = interp._memo[key] = _degrees(interp, family, concept)
+    return vec
+
+
+def _degrees(
+    interp: FuzzyInterpretation, family: LogicFamily, concept: Concept
+) -> tuple[float, ...]:
+    n = len(interp.domain)
     if isinstance(concept, Top):
-        return 1.0
+        return (1.0,) * n
     if isinstance(concept, Bottom):
-        return 0.0
+        return (0.0,) * n
     if isinstance(concept, Name):
-        return interp.concept_degree(concept.name, x)
-    if isinstance(concept, Not):
-        return family.neg(eval_concept(interp, family, concept.arg, x))
-    if isinstance(concept, And):
-        return family.tnorm(
-            eval_concept(interp, family, concept.left, x),
-            eval_concept(interp, family, concept.right, x),
-        )
-    if isinstance(concept, Or):
-        return family.snorm(
-            eval_concept(interp, family, concept.left, x),
-            eval_concept(interp, family, concept.right, x),
-        )
-    if isinstance(concept, Exists):
-        return max(
-            family.tnorm(
-                interp.role_degree(concept.role, x, y),
-                eval_concept(interp, family, concept.arg, y),
-            )
-            for y in interp.domain
-        )
-    if isinstance(concept, Forall):
-        return min(
-            family.impl(
-                interp.role_degree(concept.role, x, y),
-                eval_concept(interp, family, concept.arg, y),
-            )
-            for y in interp.domain
-        )
+        return tuple(interp.concept_degree(concept.name, x) for x in interp.domain)
     if isinstance(concept, Nominal):
-        return 1.0 if interp.element_of(concept.individual) == x else 0.0
+        target = interp.element_of(concept.individual)
+        return tuple(1.0 if x == target else 0.0 for x in interp.domain)
+    if isinstance(concept, Not):
+        return tuple(map(family.neg, degrees(interp, family, concept.arg)))
+    if isinstance(concept, (And, Or)):
+        op = family.tnorm if isinstance(concept, And) else family.snorm
+        left = degrees(interp, family, concept.left)
+        return tuple(map(op, left, degrees(interp, family, concept.right)))
+    if isinstance(concept, (Exists, Forall)):
+        inner = degrees(interp, family, concept.arg)
+        succ = interp.successors.get(concept.role) or [()] * n
+        if isinstance(concept, Exists):
+            tnorm = family.tnorm
+            return tuple(max((tnorm(r, inner[j]) for j, r in row), default=0.0) for row in succ)
+        impl = family.impl
+        return tuple(min((impl(r, inner[j]) for j, r in row), default=1.0) for row in succ)
     if isinstance(concept, Typ):
         raise EvaluationError(
             "typicality is defined against a preference model, not a bare"
@@ -285,16 +304,19 @@ def eval_concept(
     raise TypeError(f"not a concept: {concept!r}")
 
 
+def eval_concept(
+    interp: FuzzyInterpretation, family: LogicFamily, concept: Concept, x: str
+) -> float:
+    """The degree to which element x belongs to the concept."""
+    return degrees(interp, family, concept)[interp.index[x]]
+
+
 def eval_inclusion(
     interp: FuzzyInterpretation, family: LogicFamily, left: Concept, right: Concept
 ) -> float:
     """The degree of C [= D: the worst implication over the domain."""
     return min(
-        family.impl(
-            eval_concept(interp, family, left, x),
-            eval_concept(interp, family, right, x),
-        )
-        for x in interp.domain
+        map(family.impl, degrees(interp, family, left), degrees(interp, family, right))
     )
 
 

@@ -5,7 +5,7 @@ unit k computes an induced field ``u_k = bias_k + sum_j w_kj * s_j`` over
 the activities of its synapse sources (listed order, left to right) and an
 activity ``y_k = phi_k(u_k)``.  Acyclic networks are evaluated in one
 topological sweep; cyclic ones run synchronous updates from all-zero unit
-activities until the largest activity change drops below ``EPS_FIX``
+activities until the largest activity change drops below ``EPS_CMP``
 (at most ``MAX_ITERATIONS`` rounds), then record the stationary state.
 
 Input activities are the stimulus values clamped to [0, 1].  The clamped
@@ -43,7 +43,7 @@ from .errors import (
     NonConvergenceError,
     PrefnetError,
 )
-from .fuzzy import ZADEH, FuzzyInterpretation
+from .fuzzy import EPS_CMP, ZADEH, FuzzyInterpretation
 from .kb import DefeasibleInclusion, WeightedKB
 from .preferences import (
     NEG_INF,
@@ -56,8 +56,6 @@ from .preferences import (
 )
 
 __all__ = [
-    "EPS_FIX",
-    "EPS_NUM",
     "MAX_ITERATIONS",
     "Activation",
     "ACTIVATIONS",
@@ -81,8 +79,6 @@ __all__ = [
     "load_stimuli",
 ]
 
-EPS_FIX = 1e-9
-EPS_NUM = 1e-9
 MAX_ITERATIONS = 10000
 
 
@@ -205,12 +201,6 @@ class Network:
             if cid not in unit_ids:
                 raise ValueError(f"designated unit {cid!r} is not a unit id")
 
-    def unit(self, unit_id: str) -> Unit:
-        for u in self.units:
-            if u.id == unit_id:
-                return u
-        raise KeyError(unit_id)
-
     @property
     def node_ids(self) -> tuple[str, ...]:
         return self.inputs + tuple(u.id for u in self.units)
@@ -313,7 +303,7 @@ def forward(
     net: Network,
     stimuli: StimulusSet,
     *,
-    eps: float = EPS_FIX,
+    eps: float = EPS_CMP,
     max_iterations: int = MAX_ITERATIONS,
     force_iterative: bool = False,
 ) -> ActivityTable:
@@ -480,13 +470,13 @@ def extract_kb(net: Network, c_units: tuple[str, ...] | None = None) -> Weighted
     term for term.
     """
     designated = tuple(c_units) if c_units is not None else net.c_units
-    unit_ids = {u.id for u in net.units}
+    units = {u.id: u for u in net.units}
     for cid in designated:
-        if cid not in unit_ids:
+        if cid not in units:
             raise ValueError(f"designated unit {cid!r} is not a unit id")
     blocks: dict[str, tuple[DefeasibleInclusion, ...]] = {}
     for cid in designated:
-        unit = net.unit(cid)
+        unit = units[cid]
         block: list[DefeasibleInclusion] = []
         if unit.bias != 0.0:
             block.append(DefeasibleInclusion(cid, TOP, unit.bias))
@@ -584,7 +574,7 @@ def _require_flags(net: Network, kind: str) -> None:
 
 
 def verify_strict_coherence(
-    net: Network, stimuli: StimulusSet, *, eps: float = EPS_NUM
+    net: Network, stimuli: StimulusSet, *, eps: float = EPS_CMP
 ) -> VerificationReport:
     """Extracted KB on the activity interpretation must be fully coherent.
 
@@ -597,7 +587,7 @@ def verify_strict_coherence(
 
 
 def verify_weak_coherence(
-    net: Network, stimuli: StimulusSet, *, eps: float = EPS_NUM
+    net: Network, stimuli: StimulusSet, *, eps: float = EPS_CMP
 ) -> VerificationReport:
     """Extracted KB on the activity interpretation must be weakly coherent.
 

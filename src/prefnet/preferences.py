@@ -11,6 +11,10 @@ Every distinguished concept C_i induces a weight on domain elements:
 Sums accumulate left to right in block order, so ties are deterministic,
 and -inf is a genuine bottom: below every real and equal to itself.
 
+Both are built by one path.  On a two-valued interpretation the crisp
+weight is exactly the fuzzy weight under ``zadeh``: every degree is 0 or
+1, so ``w * 1.0 == w`` and ``w * 0.0`` adds nothing to the sum.
+
 Higher weight means more typical.  Each weight map yields a total preorder
 ``x <= y  iff  W(x) >= W(y)`` whose strict part is modular, irreflexive,
 transitive, and well-founded on finite domains.  In the crisp case the
@@ -67,7 +71,7 @@ from .fuzzy import (
     LogicFamily,
     check_axiom,
     compare,
-    eval_concept,
+    degrees,
 )
 from .kb import WeightedKB
 
@@ -108,13 +112,7 @@ def crisp_weight(
     _require_distinguished(kb, concept_name)
     if not interp.is_crisp:
         raise ValueError("crisp_weight needs a two-valued interpretation")
-    if eval_concept(interp, ZADEH, Name(concept_name), x) != 1.0:
-        return NEG_INF
-    total = 0.0
-    for d in kb.defaults_for(concept_name):
-        if eval_concept(interp, ZADEH, d.consequent, x) == 1.0:
-            total += d.weight
-    return total
+    return fuzzy_weight(kb, interp, ZADEH, concept_name, x)
 
 
 def fuzzy_weight(
@@ -125,13 +123,20 @@ def fuzzy_weight(
     x: str,
 ) -> float:
     """Degree-weighted sum over the whole block; -inf when C_i(x) = 0."""
+    return _weights(kb, interp, family, concept_name)[interp.index[x]]
+
+
+def _weights(
+    kb: WeightedKB, interp: FuzzyInterpretation, family: LogicFamily, concept_name: str
+) -> list[float]:
+    """``fuzzy_weight`` at every element, in domain order."""
     _require_distinguished(kb, concept_name)
-    if eval_concept(interp, family, Name(concept_name), x) == 0.0:
-        return NEG_INF
-    total = 0.0
+    member = degrees(interp, family, Name(concept_name))
+    totals = [0.0] * len(member)
     for d in kb.defaults_for(concept_name):
-        total += d.weight * eval_concept(interp, family, d.consequent, x)
-    return total
+        w = d.weight
+        totals = [t + w * c for t, c in zip(totals, degrees(interp, family, d.consequent))]
+    return [NEG_INF if m == 0.0 else t for m, t in zip(member, totals)]
 
 
 def _require_distinguished(kb: WeightedKB, concept_name: str) -> None:
@@ -221,13 +226,12 @@ def build_preferences(
             "crisp preference construction needs a two-valued interpretation;"
             " pass a logic family for fuzzy interpretations"
         )
-    prefs: dict[str, ConceptPreference] = {}
-    for name in kb.distinguished:
-        if family is None:
-            weights = {x: crisp_weight(kb, interp, name, x) for x in interp.domain}
-        else:
-            weights = {x: fuzzy_weight(kb, interp, family, name, x) for x in interp.domain}
-        prefs[name] = ConceptPreference(name, weights)
+    prefs = {
+        name: ConceptPreference(
+            name, dict(zip(interp.domain, _weights(kb, interp, family or ZADEH, name)))
+        )
+        for name in kb.distinguished
+    }
     global_pref = None
     if family is None:
         global_pref = GlobalPreference(tuple(prefs[n] for n in kb.distinguished))
@@ -251,11 +255,8 @@ def typicality_global(model: MultiprefModel, concept: Concept) -> list[str]:
         raise ValueError(
             "no global preference in fuzzy mode; use typicality_induced"
         )
-    family = model.family or ZADEH
-    extension = [
-        x for x in model.interp.domain
-        if eval_concept(model.interp, family, concept, x) == 1.0
-    ]
+    member = degrees(model.interp, model.family or ZADEH, concept)
+    extension = [x for x, d in zip(model.interp.domain, member) if d == 1.0]
     lt = model.global_pref.lt
     return [u for u in extension if not any(lt(z, u) for z in extension if z != u)]
 
@@ -264,11 +265,11 @@ def typicality_induced(
     interp: FuzzyInterpretation, family: LogicFamily, concept: Concept
 ) -> list[str]:
     """Positive-degree maximizers of the concept, in domain order."""
-    degrees = {x: eval_concept(interp, family, concept, x) for x in interp.domain}
-    best = max(degrees.values())
+    member = degrees(interp, family, concept)
+    best = max(member)
     if best == 0.0:
         return []
-    return [x for x in interp.domain if degrees[x] == best]
+    return [x for x, d in zip(interp.domain, member) if d == best]
 
 
 def check_typicality_axiom(
@@ -306,29 +307,19 @@ def check_typicality_axiom(
         family = model.family
         typical = set(typicality_induced(model.interp, family, subject))
 
+    rows = list(zip(model.interp.domain, degrees(model.interp, family, right)))
     if theta is None:
         theta, bound = ">=", 1.0
         if model.is_crisp_mode:
-            return all(
-                eval_concept(model.interp, family, right, u) == 1.0 for u in typical
-            )
+            return all(d == 1.0 for x, d in rows if x in typical)
     assert bound is not None
 
     if fuzzy_semantics == "containment" and not model.is_crisp_mode:
-        return all(
-            compare(eval_concept(model.interp, family, right, u), theta, bound, eps)
-            for u in typical
-        )
+        return all(compare(d, theta, bound, eps) for x, d in rows if x in typical)
     if fuzzy_semantics not in ("implication", "containment"):
         raise ValueError(f"unknown typicality semantics {fuzzy_semantics!r}")
 
-    degree = min(
-        family.impl(
-            1.0 if x in typical else 0.0,
-            eval_concept(model.interp, family, right, x),
-        )
-        for x in model.interp.domain
-    )
+    degree = min(family.impl(1.0 if x in typical else 0.0, d) for x, d in rows)
     return compare(degree, theta, bound, eps)
 
 
@@ -455,8 +446,8 @@ def coherence_report(
     domain = model.interp.domain
     for name in model.concepts:
         weights = model.preferences[name].weights
-        degrees = {x: model.interp.concept_degree(name, x) for x in domain}
-        pairs = [(weights[x], degrees[x]) for x in domain]
+        member = degrees(model.interp, model.family or ZADEH, Name(name))
+        pairs = [(weights[x], d) for x, d in zip(domain, member)]
         s_ok = _strictly_consistent(pairs)
         strict_ok = strict_ok and s_ok
         if s_ok:
@@ -465,12 +456,12 @@ def coherence_report(
         if max_violations is not None and len(violations) >= max_violations:
             truncated = True
             continue
-        for x in domain:
-            for y in domain:
+        for x, (wx, dx) in zip(domain, pairs):
+            for y, (wy, dy) in zip(domain, pairs):
                 if x == y:
                     continue
-                pref_strict = weights[x] > weights[y]
-                deg_strict = degrees[x] > degrees[y]
+                pref_strict = wx > wy
+                deg_strict = dx > dy
                 if deg_strict and not pref_strict:
                     violations.append(Violation(name, x, y, "weak"))
                 elif pref_strict and not deg_strict:

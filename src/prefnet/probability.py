@@ -19,6 +19,7 @@ min throughout, so this module is pinned to the ``zadeh`` family.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,13 +33,12 @@ from .fuzzy import (
     ZADEH,
     FuzzyInterpretation,
     LogicFamily,
+    degrees,
     eval_concept,
 )
 from .mlp import ActivityTable, Network, StimulusSet, forward
 
 __all__ = [
-    "EPS_PROB",
-    "EPS_NUM",
     "Distribution",
     "FuzzyProbInterp",
     "fuzzy_event_prob",
@@ -52,9 +52,6 @@ __all__ = [
     "load_distribution",
 ]
 
-EPS_PROB = 1e-9
-EPS_NUM = 1e-9
-
 
 @dataclass(frozen=True)
 class Distribution:
@@ -65,12 +62,14 @@ class Distribution:
     def __post_init__(self) -> None:
         total = 0.0
         for elem, p in self.mu.items():
-            if p < 0.0:
-                raise ValueError(f"negative probability {p!r} at {elem!r}")
+            if not math.isfinite(p) or p < 0.0:
+                raise ValueError(
+                    f"probability {p!r} at {elem!r} is not a finite nonnegative number"
+                )
             total += p
-        if abs(total - 1.0) > EPS_PROB:
+        if abs(total - 1.0) > EPS_CMP:
             raise ValueError(
-                f"distribution mass {total!r} is not 1 within {EPS_PROB}"
+                f"distribution mass {total!r} is not 1 within {EPS_CMP}"
             )
 
     def prob(self, elem: str) -> float:
@@ -121,10 +120,8 @@ class FuzzyProbInterp:
 
 def fuzzy_event_prob(fpi: FuzzyProbInterp, concept: Concept) -> float:
     """Expected membership of the concept under the distribution."""
-    return sum(
-        eval_concept(fpi.interp, fpi.family, concept, d) * fpi.dist.prob(d)
-        for d in fpi.interp.domain
-    )
+    member = degrees(fpi.interp, fpi.family, concept)
+    return sum(c * fpi.dist.prob(d) for d, c in zip(fpi.interp.domain, member))
 
 
 def conditional_prob(fpi: FuzzyProbInterp, left: Concept, given: Concept) -> float:
@@ -154,7 +151,7 @@ def fuzzy_cardinality(
     interp: FuzzyInterpretation, concept: Concept, family: LogicFamily = ZADEH
 ) -> float:
     """Sigma-count: the sum of membership degrees over the domain."""
-    return sum(eval_concept(interp, family, concept, d) for d in interp.domain)
+    return sum(degrees(interp, family, concept))
 
 
 def relative_cardinality(
@@ -194,7 +191,7 @@ def nominal_conditional(fpi: FuzzyProbInterp, concept: Concept, individual: str)
         )
     ratio = conditional_prob(fpi, concept, Nominal(individual))
     direct = eval_concept(fpi.interp, fpi.family, concept, elem)
-    if abs(ratio - direct) > EPS_NUM:
+    if abs(ratio - direct) > EPS_CMP:
         raise ArithmeticError(
             f"singleton conditioning disagrees with membership:"
             f" {ratio!r} vs {direct!r}"

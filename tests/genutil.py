@@ -2,8 +2,9 @@
 
 Oracles here deliberately avoid the library's own evaluation code paths:
 set_extension works on plain Python sets, bool_eval on dict valuations,
-and oracle_crisp_weight/oracle_minimal redo the preference arithmetic
-from scratch.
+oracle_crisp_weight/oracle_minimal redo the preference arithmetic from
+scratch, and oracle_eval_concept evaluates one element at a time by
+plain recursion, quantifiers scanning the whole domain.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from prefnet import (
     Bottom,
     Concept,
     DefeasibleInclusion,
+    EvaluationError,
     Exists,
     Forall,
     FuzzyInterpretation,
+    LogicFamily,
     Name,
     Network,
     Nominal,
@@ -28,6 +31,7 @@ from prefnet import (
     StrictInclusion,
     TOP,
     Top,
+    Typ,
     Unit,
     WeightedKB,
     crisp_interpretation,
@@ -275,6 +279,54 @@ def bool_eval(concept: Concept, valuation: dict[str, bool]) -> bool:
             concept.right, valuation
         )
     raise AssertionError(f"not boolean: {concept}")
+
+
+def oracle_eval_concept(
+    interp: FuzzyInterpretation, family: LogicFamily, concept: Concept, x: str
+) -> float:
+    """The degree of x in the concept, by recursion over the whole domain."""
+    if isinstance(concept, Top):
+        return 1.0
+    if isinstance(concept, Bottom):
+        return 0.0
+    if isinstance(concept, Name):
+        return interp.concept_degree(concept.name, x)
+    if isinstance(concept, Not):
+        return family.neg(oracle_eval_concept(interp, family, concept.arg, x))
+    if isinstance(concept, And):
+        return family.tnorm(
+            oracle_eval_concept(interp, family, concept.left, x),
+            oracle_eval_concept(interp, family, concept.right, x),
+        )
+    if isinstance(concept, Or):
+        return family.snorm(
+            oracle_eval_concept(interp, family, concept.left, x),
+            oracle_eval_concept(interp, family, concept.right, x),
+        )
+    if isinstance(concept, Exists):
+        return max(
+            family.tnorm(
+                interp.role_degree(concept.role, x, y),
+                oracle_eval_concept(interp, family, concept.arg, y),
+            )
+            for y in interp.domain
+        )
+    if isinstance(concept, Forall):
+        return min(
+            family.impl(
+                interp.role_degree(concept.role, x, y),
+                oracle_eval_concept(interp, family, concept.arg, y),
+            )
+            for y in interp.domain
+        )
+    if isinstance(concept, Nominal):
+        return 1.0 if interp.element_of(concept.individual) == x else 0.0
+    if isinstance(concept, Typ):
+        raise EvaluationError(
+            "typicality is defined against a preference model, not a bare"
+            " interpretation"
+        )
+    raise TypeError(f"not a concept: {concept!r}")
 
 
 def set_extension(

@@ -17,6 +17,7 @@ from prefnet import (
     check_axiom,
     compare,
     crisp_interpretation,
+    degrees,
     eval_concept,
     eval_inclusion,
     interpretation_from_json,
@@ -24,7 +25,14 @@ from prefnet import (
     parse_concept,
     parse_query_axiom,
 )
-from genutil import interp_to_sets, random_alc_concept, random_crisp_interp, set_extension
+from genutil import (
+    interp_to_sets,
+    oracle_eval_concept,
+    random_alc_concept,
+    random_crisp_interp,
+    random_fuzzy_interp,
+    set_extension,
+)
 
 GRID = [i / 20 for i in range(21)]
 
@@ -243,6 +251,38 @@ def test_crisp_embedding_matches_set_semantics():
                     assert (got == 1.0) == (x in expected), (
                         f"{family.name} disagrees on {concept} at {x}"
                     )
+
+
+@pytest.mark.parametrize("family", list(FAMILIES.values()), ids=lambda f: f.name)
+def test_zero_role_degree_is_neutral_for_quantifiers(family):
+    # degrees() folds quantifiers over role successors only.  That is exact
+    # because a zero role degree yields the fold's start value, which no
+    # other witness can undercut: t-norms stay >= 0, implications <= 1.
+    for a in GRID:
+        assert family.tnorm(0.0, a) == 0.0
+        assert family.impl(0.0, a) == 1.0
+        for b in GRID:
+            assert family.tnorm(a, b) >= 0.0
+            assert family.impl(a, b) <= 1.0
+
+
+def test_degrees_match_recursive_oracle():
+    rng = random.Random(31)
+    names = ["A", "B", "C"]
+    roles = ["r", "s"]
+    for _ in range(40):
+        interp = random_fuzzy_interp(rng, names, size=6, roles=roles)
+        inds = list(interp.individuals)
+        for _ in range(10):
+            concept = random_alc_concept(rng, names, roles, inds, 3)
+            for family in FAMILIES.values():
+                expected = [
+                    oracle_eval_concept(interp, family, concept, x)
+                    for x in interp.domain
+                ]
+                assert list(degrees(interp, family, concept)) == expected, (
+                    f"{family.name} disagrees on {concept}"
+                )
 
 
 def test_de_morgan_exact_for_zadeh():

@@ -181,6 +181,12 @@ def test_distribution_validation():
     assert ok.prob("x") == 0.5
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+def test_distribution_rejects_nonfinite_or_negative_mass(bad):
+    with pytest.raises(ValueError, match="'a'"):
+        Distribution({"a": bad, "b": 1.0})
+
+
 def test_distribution_subset_means_zero_mass(tall_interp):
     fpi = FuzzyProbInterp(interp=tall_interp, dist=Distribution({"ann": 1.0}))
     assert fuzzy_event_prob(fpi, Name("Tall")) == pytest.approx(1.0)
