@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .concepts import (
@@ -26,9 +25,10 @@ from .concepts import (
     parse_concept,
     parse_query_axiom,
 )
-from .errors import ActivationPreconditionError, ParseError, PrefnetError
+from .errors import ParseError, PrefnetError
 from .fuzzy import (
     EPS_CMP,
+    FAMILIES,
     ZADEH,
     check_axiom,
     get_family,
@@ -66,39 +66,20 @@ from .probability import (
     subsethood,
 )
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
-@dataclass
-class RunConfig:
-    """Resolved run options shared by the subcommands."""
-
-    logic: str = "zadeh"
-    threshold_mode: str = "nonzero"
-    typ_fuzzy_sem: str = "implication"
-    out: str | None = None
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        logic=getattr(args, "logic", "zadeh"),
-        threshold_mode=getattr(args, "threshold_mode", "nonzero"),
-        typ_fuzzy_sem=getattr(args, "typ_fuzzy_sem", "implication"),
-        out=getattr(args, "out", None),
-    )
-
-
-def _emit(payload: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        Path(cfg.out).write_text(payload, encoding="utf-8")
+def _emit(payload: str, out: str | None) -> None:
+    if out:
+        Path(out).write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
             sys.stdout.write("\n")
 
 
-def _emit_json(obj: object, cfg: RunConfig) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=False), cfg)
+def _emit_json(obj: object, out: str | None) -> None:
+    _emit(json.dumps(obj, indent=2, sort_keys=False), out)
 
 
 def _fail(message: str) -> int:
@@ -120,7 +101,6 @@ def _query_signature(kb, interp) -> Signature:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     try:
         text = Path(args.kb).read_text(encoding="utf-8")
     except OSError as e:
@@ -139,19 +119,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                     }
                 ]
             },
-            cfg,
+            args.out,
         )
         return 1
     diags = validate_kb(kb)
-    _emit_json({"diagnostics": [d.to_json() for d in diags]}, cfg)
+    _emit_json({"diagnostics": [d.to_json() for d in diags]}, args.out)
     return 1 if diags else 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     kb = load_kb(args.kb)
     interp = load_interpretation(args.interp)
-    family = get_family(cfg.logic)
+    family = get_family(args.logic)
     axiom = parse_query_axiom(args.axiom, _query_signature(kb, interp))
     mode = args.mode
     if mode == "auto":
@@ -173,7 +152,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 interp, family, axiom.left.arg
             )
         holds = check_typicality_axiom(
-            model, axiom, fuzzy_semantics=cfg.typ_fuzzy_sem
+            model, axiom, fuzzy_semantics=args.typ_fuzzy_sem
         )
     else:
         if mode == "crisp":
@@ -181,70 +160,66 @@ def _cmd_check(args: argparse.Namespace) -> int:
         else:
             details["is_model"] = is_fuzzy_model(kb, interp, family)
         holds = check_axiom(interp, family, axiom)
-    _emit_json({"axiom": axiom_to_text(axiom), "holds": holds, "details": details}, cfg)
+    _emit_json(
+        {"axiom": axiom_to_text(axiom), "holds": holds, "details": details}, args.out
+    )
     return 0
 
 
 def _cmd_entail(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     kb = load_kb(args.kb)
     query = parse_query_axiom(args.query)
     if not isinstance(query, StrictInclusion) or not isinstance(query.left, Typ):
         return _fail("the query must have the form 'T(C) [= D'")
     verdict = entails_rolefree(kb, query.left.arg, query.right)
-    _emit_json({"query": axiom_to_text(query), "entailed": verdict}, cfg)
+    _emit_json({"query": axiom_to_text(query), "entailed": verdict}, args.out)
     return 0
 
 
 def _cmd_mlp_forward(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     net = load_network(args.net)
     stimuli = load_stimuli(args.stimuli)
     table = forward(net, stimuli)
-    _emit_json(table.to_json(), cfg)
+    _emit_json(table.to_json(), args.out)
     return 0
 
 
 def _cmd_mlp_model(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     net = load_network(args.net)
     stimuli = load_stimuli(args.stimuli)
     if args.kind == "fuzzy":
         interp = build_fuzzy_interp(net, stimuli)
     else:
-        interp = build_cwm_interp(net, stimuli, cfg.threshold_mode).interp
-    _emit_json(interpretation_to_json(interp), cfg)
+        interp = build_cwm_interp(net, stimuli, args.threshold_mode).interp
+    _emit_json(interpretation_to_json(interp), args.out)
     return 0
 
 
 def _cmd_mlp_extract(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     net = load_network(args.net)
     kb = extract_kb(net)
-    _emit(serialize_kb(kb), cfg)
+    _emit(serialize_kb(kb), args.out)
     return 0
 
 
 def _cmd_mlp_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     net = load_network(args.net)
     stimuli = load_stimuli(args.stimuli)
     verify = (
         verify_strict_coherence if args.coherence == "strict" else verify_weak_coherence
     )
     report = verify(net, stimuli)
-    _emit_json(report.to_json(), cfg)
+    _emit_json(report.to_json(), args.out)
     return 0 if report.ok else 1
 
 
 def _cmd_prob(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     interp = load_interpretation(args.interp)
     if args.dist:
         dist = load_distribution(args.dist)
     else:
         dist = Distribution.uniform(interp.domain)
-    fpi = FuzzyProbInterp(interp=interp, dist=dist, family=ZADEH)
+    fpi = FuzzyProbInterp(interp=interp, dist=dist)
     sig = Signature(
         concept_names=frozenset(interp.concepts),
         role_names=frozenset(interp.roles),
@@ -304,7 +279,7 @@ def _cmd_prob(args: argparse.Namespace) -> int:
             results.append(entry)
     if not results:
         return _fail("nothing to evaluate: pass --event, --cc, --subsethood, or --queries")
-    _emit_json({"results": results}, cfg)
+    _emit_json({"results": results}, args.out)
     return 0
 
 
@@ -312,13 +287,7 @@ def _cmd_prob(args: argparse.Namespace) -> int:
 # Parser
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--logic",
-        choices=["zadeh", "goedel", "lukasiewicz", "product"],
-        default="zadeh",
-        help="truth-function family for fuzzy evaluation",
-    )
+def _add_out(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="write output to this file")
 
 
@@ -334,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate", help="parse and validate a .wkb file")
     p.add_argument("kb")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=_cmd_validate)
 
     p = subs.add_parser("check", help="model-check one axiom")
@@ -348,13 +317,19 @@ def build_parser() -> argparse.ArgumentParser:
         default="implication",
         help="semantics of degree-bounded typicality axioms in fuzzy mode",
     )
-    _add_common(p)
+    p.add_argument(
+        "--logic",
+        choices=sorted(FAMILIES),
+        default="zadeh",
+        help="truth-function family for fuzzy evaluation",
+    )
+    _add_out(p)
     p.set_defaults(handler=_cmd_check)
 
     p = subs.add_parser("entail", help="role-free entailment over all models")
     p.add_argument("--kb", required=True)
     p.add_argument("--query", required=True, help="query text 'T(C) [= D'")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=_cmd_entail)
 
     mlp = subs.add_parser("mlp", help="network commands")
@@ -363,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = mlp_subs.add_parser("forward", help="activities and induced fields")
     p.add_argument("--net", required=True)
     p.add_argument("--stimuli", required=True)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=_cmd_mlp_forward)
 
     p = mlp_subs.add_parser("model", help="interpretation from activities")
@@ -376,19 +351,19 @@ def build_parser() -> argparse.ArgumentParser:
         default="nonzero",
         help="crisp membership rule",
     )
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=_cmd_mlp_model)
 
     p = mlp_subs.add_parser("extract-kb", help="designated units as a weighted KB")
     p.add_argument("--net", required=True)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=_cmd_mlp_extract)
 
     p = mlp_subs.add_parser("verify", help="coherence of the extracted model")
     p.add_argument("--net", required=True)
     p.add_argument("--stimuli", required=True)
     p.add_argument("--coherence", choices=["strict", "weak"], default="strict")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=_cmd_mlp_verify)
 
     p = subs.add_parser("prob", help="probabilities of fuzzy events")
@@ -398,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cc", default=None, help="constraint text '(C | D)[l,u]'")
     p.add_argument("--subsethood", nargs=2, default=None, metavar=("LEFT", "RIGHT"))
     p.add_argument("--queries", default=None, help=".wkb file with cc/passert lines")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(handler=_cmd_prob)
 
     return parser
@@ -409,16 +384,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ActivationPreconditionError as e:
-        return _fail(str(e))
-    except ParseError as e:
-        return _fail(str(e))
-    except (PrefnetError, ValueError, KeyError, ArithmeticError) as e:
-        return _fail(str(e))
-    except OSError as e:
-        return _fail(str(e))
     except json.JSONDecodeError as e:
+        # Before ValueError, which JSONDecodeError subclasses.
         return _fail(f"invalid JSON: {e}")
+    except (PrefnetError, ValueError, KeyError, ArithmeticError, OSError) as e:
+        return _fail(str(e))
 
 
 if __name__ == "__main__":

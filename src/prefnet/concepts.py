@@ -404,43 +404,22 @@ def _tokenize(text: str, line: int = 1, col_offset: int = 0) -> list[_Token]:
 # Parser
 
 
-class _UsageSink:
-    """Collects which namespace each identifier was used in."""
-
-    def __init__(self) -> None:
-        self.concepts: set[str] = set()
-        self.roles: set[str] = set()
-        self.individuals: set[str] = set()
-
-    def concept(self, name: str) -> None:
-        self.concepts.add(name)
-
-    def role(self, name: str) -> None:
-        self.roles.add(name)
-
-    def individual(self, name: str) -> None:
-        self.individuals.add(name)
-
-
 class _Parser:
     """Recursive-descent parser over a token list.
 
     When a signature is supplied every identifier is validated against the
-    namespace its position demands; when a usage sink is supplied instead,
-    identifiers are recorded by position for later signature inference.
+    namespace its position demands.
     """
 
     def __init__(
         self,
         tokens: list[_Token],
         sig: Signature | None = None,
-        sink: _UsageSink | None = None,
         allow_typ: bool = True,
     ):
         self.tokens = tokens
         self.pos = 0
         self.sig = sig
-        self.sink = sink
         self.allow_typ = allow_typ
 
     def peek(self) -> _Token:
@@ -469,26 +448,10 @@ class _Parser:
 
     # -- namespace handling
 
-    def _note_concept(self, tok: _Token) -> None:
-        if self.sink is not None:
-            self.sink.concept(tok.value)
-        if self.sig is not None:
-            self._validate(tok, "concept")
-
-    def _note_role(self, tok: _Token) -> None:
-        if self.sink is not None:
-            self.sink.role(tok.value)
-        if self.sig is not None:
-            self._validate(tok, "role")
-
-    def _note_individual(self, tok: _Token) -> None:
-        if self.sink is not None:
-            self.sink.individual(tok.value)
-        if self.sig is not None:
-            self._validate(tok, "individual")
-
-    def _validate(self, tok: _Token, want: str) -> None:
-        assert self.sig is not None
+    def _note(self, tok: _Token, want: str) -> None:
+        """Check the identifier against the signature's ``want`` namespace."""
+        if self.sig is None:
+            return
         kind = self.sig.kind_of(tok.value)
         if kind == want:
             return
@@ -532,7 +495,7 @@ class _Parser:
                     role_tok.line,
                     role_tok.col,
                 )
-            self._note_role(role_tok)
+            self._note(role_tok, "role")
             self.expect("DOT", "'.'")
             arg = self.parse_not()
             cls = Exists if tok.value == "exists" else Forall
@@ -555,7 +518,7 @@ class _Parser:
                     ind.line,
                     ind.col,
                 )
-            self._note_individual(ind)
+            self._note(ind, "individual")
             self.expect("RBRACE", "'}'")
             return Nominal(ind.value)
         if tok.kind == "IDENT":
@@ -582,7 +545,7 @@ class _Parser:
                     f"unexpected reserved word {tok.value!r}", tok.line, tok.col
                 )
             self.next()
-            self._note_concept(tok)
+            self._note(tok, "concept")
             return Name(tok.value)
         found = tok.value or "end of input"
         raise ParseError(f"expected a concept, found {found!r}", tok.line, tok.col)
@@ -656,7 +619,7 @@ def parse_query_axiom(
             )
         parser.next()
         ind = parser.expect("IDENT", "an individual name")
-        parser._note_individual(ind)
+        parser._note(ind, "individual")
         parser.expect("RPAREN", "')'")
         if parser.peek().kind == "THETA":
             theta = parser.next().value

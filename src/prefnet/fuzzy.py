@@ -320,12 +320,12 @@ def eval_inclusion(
     )
 
 
-def compare(value: float, theta: str, bound: float, eps: float = EPS_CMP) -> bool:
-    """Tolerant degree comparison: >=/<= absorb eps, >/< stay exact."""
+def compare(value: float, theta: str, bound: float) -> bool:
+    """Tolerant degree comparison: >=/<= absorb EPS_CMP, >/< stay exact."""
     if theta == ">=":
-        return value >= bound - eps
+        return value >= bound - EPS_CMP
     if theta == "<=":
-        return value <= bound + eps
+        return value <= bound + EPS_CMP
     if theta == ">":
         return value > bound
     if theta == "<":
@@ -334,10 +334,7 @@ def compare(value: float, theta: str, bound: float, eps: float = EPS_CMP) -> boo
 
 
 def check_axiom(
-    interp: FuzzyInterpretation,
-    family: LogicFamily,
-    axiom: object,
-    eps: float = EPS_CMP,
+    interp: FuzzyInterpretation, family: LogicFamily, axiom: object
 ) -> bool:
     """Decide one axiom against the interpretation.
 
@@ -348,26 +345,25 @@ def check_axiom(
     """
     if isinstance(axiom, StrictInclusion):
         _reject_typ(axiom.left, axiom.right)
-        return compare(eval_inclusion(interp, family, axiom.left, axiom.right), ">=", 1.0, eps)
+        return compare(eval_inclusion(interp, family, axiom.left, axiom.right), ">=", 1.0)
     if isinstance(axiom, FuzzyInclusion):
         _reject_typ(axiom.left, axiom.right)
         value = eval_inclusion(interp, family, axiom.left, axiom.right)
-        return compare(value, axiom.theta, axiom.degree, eps)
+        return compare(value, axiom.theta, axiom.degree)
     if isinstance(axiom, Assertion):
         _reject_typ(axiom.concept)
         value = eval_concept(interp, family, axiom.concept, interp.element_of(axiom.individual))
-        return compare(value, ">=", 1.0, eps)
+        return compare(value, ">=", 1.0)
     if isinstance(axiom, FuzzyAssertion):
         _reject_typ(axiom.concept)
         value = eval_concept(interp, family, axiom.concept, interp.element_of(axiom.individual))
-        return compare(value, axiom.theta, axiom.degree, eps)
+        return compare(value, axiom.theta, axiom.degree)
     if isinstance(axiom, RoleAssertion):
         return compare(
             interp.role_degree(axiom.role, interp.element_of(axiom.subject),
                                interp.element_of(axiom.target)),
             ">=",
             1.0,
-            eps,
         )
     if isinstance(axiom, (DefeasibleInclusion, ConditionalConstraint, ProbAssertion)):
         raise UnsupportedAxiomError(

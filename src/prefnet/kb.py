@@ -44,7 +44,6 @@ from .concepts import (
     Signature,
     StrictInclusion,
     _Parser,
-    _UsageSink,
     _tokenize,
     axiom_to_text,
     concept_names_in,
@@ -175,12 +174,11 @@ class _KbBuilder:
         self.blocks: dict[str, list[DefeasibleInclusion]] = {}
         self.abox: list[Assertion | RoleAssertion] = []
         self.extra: list[ExtraAxiom] = []
-        self.sink = _UsageSink()
 
 
-def _body_parser(body: str, line_no: int, col_offset: int, builder: _KbBuilder) -> _Parser:
+def _body_parser(body: str, line_no: int, col_offset: int) -> _Parser:
     tokens = _tokenize(body, line=line_no, col_offset=col_offset)
-    return _Parser(tokens, sink=builder.sink, allow_typ=False)
+    return _Parser(tokens, allow_typ=False)
 
 
 def _parse_applied(parser: _Parser) -> tuple[Concept | None, str, list[str]]:
@@ -229,14 +227,13 @@ def parse_kb(text: str) -> WeightedKB:
             if builder.saw_distinguished:
                 raise ParseError("duplicate 'distinguished:' declaration", idx, 1)
             builder.saw_distinguished = True
-            parser = _body_parser(line[m.end() :], idx, m.end(), builder)
+            parser = _body_parser(line[m.end() :], idx, m.end())
             while True:
                 tok = parser.expect("IDENT", "a concept name")
                 if tok.value in builder.distinguished:
                     raise ParseError(
                         f"duplicate distinguished concept {tok.value!r}", tok.line, tok.col
                     )
-                builder.sink.concept(tok.value)
                 builder.distinguished.append(tok.value)
                 if parser.peek().kind == "COMMA":
                     parser.next()
@@ -258,7 +255,7 @@ def parse_kb(text: str) -> WeightedKB:
         col0 = m.end()
         if head == "distinguished":
             continue
-        parser = _body_parser(body, idx, col0, builder)
+        parser = _body_parser(body, idx, col0)
         defm = _DEF_HEAD_RE.match(head)
         if defm is not None:
             _parse_def_line(parser, defm.group(1), idx, builder)
@@ -271,10 +268,7 @@ def parse_kb(text: str) -> WeightedKB:
         elif head == "assert":
             concept, role, args = _parse_applied(parser)
             parser.expect_end()
-            for a in args:
-                builder.sink.individual(a)
             if concept is None:
-                builder.sink.role(role)
                 builder.abox.append(RoleAssertion(role, args[0], args[1]))
             else:
                 builder.abox.append(Assertion(concept, args[0]))
@@ -293,7 +287,6 @@ def parse_kb(text: str) -> WeightedKB:
             theta = parser.expect("THETA", "a comparison (>=, <=, >, <)").value
             degree = parser.parse_degree()
             parser.expect_end()
-            builder.sink.individual(args[0])
             builder.extra.append(FuzzyAssertion(concept, args[0], theta, degree))
         elif head == "cc":
             parser.expect("LPAREN", "'('")
@@ -328,7 +321,6 @@ def parse_kb(text: str) -> WeightedKB:
             prob = parser.parse_degree("a probability in [0,1]")
             parser.expect("RBRACKET", "']'")
             parser.expect_end()
-            builder.sink.individual(args[0])
             builder.extra.append(ProbAssertion(concept, args[0], prob))
         else:
             raise ParseError(f"unknown statement keyword {head!r}", idx, 1)
@@ -363,7 +355,6 @@ def _parse_def_line(
             subj_tok.line,
             subj_tok.col,
         )
-    builder.sink.concept(head_subject)
     parser.expect("SUBSUMES", "'[='")
     consequent = parser.parse_or()
     at_tok = parser.expect("AT", "'@'")

@@ -49,7 +49,6 @@ from .preferences import (
     NEG_INF,
     CoherenceReport,
     ConceptPreference,
-    GlobalPreference,
     MultiprefModel,
     build_preferences,
     coherence_report,
@@ -295,6 +294,14 @@ def _clamp01(v: float) -> float:
     return min(1.0, max(0.0, v))
 
 
+def _field(unit: Unit, signals: dict[str, float]) -> float:
+    """The induced field ``bias + sum_j w_kj * s_j``, folded left to right."""
+    total = unit.bias
+    for src, w in unit.incoming:
+        total += w * signals[src]
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -303,7 +310,6 @@ def forward(
     net: Network,
     stimuli: StimulusSet,
     *,
-    eps: float = EPS_CMP,
     max_iterations: int = MAX_ITERATIONS,
     force_iterative: bool = False,
 ) -> ActivityTable:
@@ -311,12 +317,13 @@ def forward(
 
     Acyclic graphs get a single topological sweep.  Cyclic graphs (or
     ``force_iterative``) run synchronous updates from zero until stationary
-    within ``eps``, failing with :class:`NonConvergenceError` at the
+    within ``EPS_CMP``, failing with :class:`NonConvergenceError` at the
     iteration cap; the recorded fields are recomputed at the fixed point so
     ``y = phi(u)`` holds exactly.
     """
     stimuli.check_against(net)
     order = None if force_iterative else net.topological_units()
+    phi = {u.id: get_activation(u.activation).fn for u in net.units}
     activity: dict[str, dict[str, float]] = {}
     induced: dict[str, dict[str, float]] = {}
     for sid in stimuli.ids:
@@ -324,46 +331,26 @@ def forward(
         fields: dict[str, float] = {}
         if order is not None:
             for u in order:
-                total = u.bias
-                for src, w in u.incoming:
-                    total += w * signals[src]
-                fields[u.id] = total
-                signals[u.id] = get_activation(u.activation).fn(total)
+                fields[u.id] = total = _field(u, signals)
+                signals[u.id] = phi[u.id](total)
         else:
             for u in net.units:
                 signals[u.id] = 0.0
-            converged = False
             for _ in range(max_iterations):
-                new_fields = {}
-                new_values = {}
-                for u in net.units:
-                    total = u.bias
-                    for src, w in u.incoming:
-                        total += w * signals[src]
-                    new_fields[u.id] = total
-                    new_values[u.id] = get_activation(u.activation).fn(total)
-                delta = max(
-                    abs(new_values[u.id] - signals[u.id]) for u in net.units
-                )
-                for u in net.units:
-                    signals[u.id] = new_values[u.id]
-                fields = new_fields
-                if delta < eps:
-                    converged = True
+                new = {u.id: phi[u.id](_field(u, signals)) for u in net.units}
+                delta = max(abs(y - signals[k]) for k, y in new.items())
+                signals.update(new)
+                if delta < EPS_CMP:
                     break
-            if not converged:
+            else:
                 raise NonConvergenceError(
                     f"no stationary state for stimulus {sid!r} within"
                     f" {max_iterations} iterations"
                 )
             # One settling pass so recorded pairs satisfy y = phi(u) exactly.
+            fields = {u.id: _field(u, signals) for u in net.units}
             for u in net.units:
-                total = u.bias
-                for src, w in u.incoming:
-                    total += w * signals[src]
-                fields[u.id] = total
-            for u in net.units:
-                signals[u.id] = get_activation(u.activation).fn(fields[u.id])
+                signals[u.id] = phi[u.id](fields[u.id])
         activity[sid] = dict(signals)
         induced[sid] = fields
     return ActivityTable(
@@ -407,7 +394,6 @@ def build_cwm_interp(
     net: Network,
     stimuli: StimulusSet,
     threshold_mode: str = "nonzero",
-    table: ActivityTable | None = None,
 ) -> MultiprefModel:
     """Crisp model: threshold memberships, preferences by raw activity.
 
@@ -419,9 +405,7 @@ def build_cwm_interp(
     """
     if threshold_mode not in ("nonzero", "half"):
         raise ValueError("threshold_mode must be 'nonzero' or 'half'")
-    if table is None:
-        table = forward(net, stimuli)
-    fuzzy = build_fuzzy_interp(net, stimuli, table)
+    fuzzy = build_fuzzy_interp(net, stimuli)
 
     def member(value: float) -> bool:
         return value != 0.0 if threshold_mode == "nonzero" else value > 0.5
@@ -448,20 +432,14 @@ def build_cwm_interp(
             for sid in stimuli.ids
         }
         prefs[cid] = ConceptPreference(cid, weights)
-    return MultiprefModel(
-        interp=interp,
-        concepts=tuple(net.c_units),
-        preferences=prefs,
-        family=None,
-        global_pref=GlobalPreference(tuple(prefs[c] for c in net.c_units)),
-    )
+    return MultiprefModel(interp=interp, preferences=prefs)
 
 
 # ---------------------------------------------------------------------------
 # KB extraction and verification
 
 
-def extract_kb(net: Network, c_units: tuple[str, ...] | None = None) -> WeightedKB:
+def extract_kb(net: Network) -> WeightedKB:
     """Read each designated unit as a weighted defeasible block.
 
     The bias contributes a leading ``T(C_k) [= Top @ bias`` default when
@@ -469,13 +447,9 @@ def extract_kb(net: Network, c_units: tuple[str, ...] | None = None) -> Weighted
     degree-weighted fuzzy weights then replays the induced-field sum
     term for term.
     """
-    designated = tuple(c_units) if c_units is not None else net.c_units
     units = {u.id: u for u in net.units}
-    for cid in designated:
-        if cid not in units:
-            raise ValueError(f"designated unit {cid!r} is not a unit id")
     blocks: dict[str, tuple[DefeasibleInclusion, ...]] = {}
-    for cid in designated:
+    for cid in net.c_units:
         unit = units[cid]
         block: list[DefeasibleInclusion] = []
         if unit.bias != 0.0:
@@ -483,7 +457,7 @@ def extract_kb(net: Network, c_units: tuple[str, ...] | None = None) -> Weighted
         for src, w in unit.incoming:
             block.append(DefeasibleInclusion(cid, Name(src), w))
         blocks[cid] = tuple(block)
-    return WeightedKB(distinguished=designated, defeasible=blocks)
+    return WeightedKB(distinguished=net.c_units, defeasible=blocks)
 
 
 @dataclass
@@ -498,7 +472,7 @@ class VerificationReport:
     checked_pairs: int
     coherence: CoherenceReport
 
-    def to_json(self, violation_limit: int | None = 10) -> dict:
+    def to_json(self) -> dict:
         return {
             "kind": self.kind,
             "ok": self.ok,
@@ -506,11 +480,11 @@ class VerificationReport:
             "max_weight_error": self.max_weight_error,
             "gated_pairs": self.gated_pairs,
             "checked_pairs": self.checked_pairs,
-            "coherence": self.coherence.to_json(violation_limit),
+            "coherence": self.coherence.to_json(),
         }
 
 
-def _verify(net: Network, stimuli: StimulusSet, kind: str, eps: float) -> VerificationReport:
+def _verify(net: Network, stimuli: StimulusSet, kind: str) -> VerificationReport:
     table = forward(net, stimuli)
     interp = build_fuzzy_interp(net, stimuli, table)
     kb = extract_kb(net)
@@ -534,7 +508,7 @@ def _verify(net: Network, stimuli: StimulusSet, kind: str, eps: float) -> Verifi
             err = abs(w - table.u(sid, cid))
             if err > max_err:
                 max_err = err
-            if err > eps:
+            if err > EPS_CMP:
                 identity_ok = False
     report = coherence_report(model, max_violations=200)
     coh_ok = report.coherent if kind == "strict" else report.weakly_coherent
@@ -573,22 +547,18 @@ def _require_flags(net: Network, kind: str) -> None:
         )
 
 
-def verify_strict_coherence(
-    net: Network, stimuli: StimulusSet, *, eps: float = EPS_CMP
-) -> VerificationReport:
+def verify_strict_coherence(net: Network, stimuli: StimulusSet) -> VerificationReport:
     """Extracted KB on the activity interpretation must be fully coherent.
 
     Requires every activation strictly increasing with range in (0, 1].
     Also asserts the block-sum weight equals the recorded induced field
-    within ``eps`` at every designated unit and stimulus.
+    within ``EPS_CMP`` at every designated unit and stimulus.
     """
     _require_flags(net, "strict")
-    return _verify(net, stimuli, "strict", eps)
+    return _verify(net, stimuli, "strict")
 
 
-def verify_weak_coherence(
-    net: Network, stimuli: StimulusSet, *, eps: float = EPS_CMP
-) -> VerificationReport:
+def verify_weak_coherence(net: Network, stimuli: StimulusSet) -> VerificationReport:
     """Extracted KB on the activity interpretation must be weakly coherent.
 
     Requires every activation monotone non-decreasing.  The weight/field
@@ -596,7 +566,7 @@ def verify_weak_coherence(
     pairs are counted as gated.
     """
     _require_flags(net, "weak")
-    return _verify(net, stimuli, "weak", eps)
+    return _verify(net, stimuli, "weak")
 
 
 # ---------------------------------------------------------------------------

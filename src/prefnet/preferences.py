@@ -65,7 +65,6 @@ from .errors import (
     UnknownNameError,
 )
 from .fuzzy import (
-    EPS_CMP,
     ZADEH,
     FuzzyInterpretation,
     LogicFamily,
@@ -99,6 +98,8 @@ __all__ = [
 
 NEG_INF = float("-inf")
 ENUMERATION_LIMIT = 20
+# How many coherence violations a report's JSON form lists.
+SHOWN_VIOLATIONS = 10
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +187,21 @@ class GlobalPreference:
 class MultiprefModel:
     """An interpretation plus one preference per distinguished concept.
 
+    ``concepts`` lists the distinguished concepts in preference order.
     ``family`` is None exactly in crisp mode, where the Pareto global
-    preference is available; in fuzzy mode there is no global relation.
+    preference is built; in fuzzy mode there is no global relation.
     """
 
     interp: FuzzyInterpretation
-    concepts: tuple[str, ...]
     preferences: dict[str, ConceptPreference]
     family: LogicFamily | None = None
-    global_pref: GlobalPreference | None = None
-    kb: WeightedKB | None = None
+    concepts: tuple[str, ...] = field(init=False)
+    global_pref: GlobalPreference | None = field(init=False, default=None)
+
+    def __post_init__(self) -> None:
+        self.concepts = tuple(self.preferences)
+        if self.family is None:
+            self.global_pref = GlobalPreference(tuple(self.preferences.values()))
 
     @property
     def is_crisp_mode(self) -> bool:
@@ -232,17 +238,7 @@ def build_preferences(
         )
         for name in kb.distinguished
     }
-    global_pref = None
-    if family is None:
-        global_pref = GlobalPreference(tuple(prefs[n] for n in kb.distinguished))
-    return MultiprefModel(
-        interp=interp,
-        concepts=tuple(kb.distinguished),
-        preferences=prefs,
-        family=family,
-        global_pref=global_pref,
-        kb=kb,
-    )
+    return MultiprefModel(interp=interp, preferences=prefs, family=family)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +273,6 @@ def check_typicality_axiom(
     axiom: StrictInclusion | FuzzyInclusion,
     *,
     fuzzy_semantics: str = "implication",
-    eps: float = EPS_CMP,
 ) -> bool:
     """Decide ``T(C) [= D``, optionally with a degree bound.
 
@@ -315,12 +310,12 @@ def check_typicality_axiom(
     assert bound is not None
 
     if fuzzy_semantics == "containment" and not model.is_crisp_mode:
-        return all(compare(d, theta, bound, eps) for x, d in rows if x in typical)
+        return all(compare(d, theta, bound) for x, d in rows if x in typical)
     if fuzzy_semantics not in ("implication", "containment"):
         raise ValueError(f"unknown typicality semantics {fuzzy_semantics!r}")
 
     degree = min(family.impl(1.0 if x in typical else 0.0, d) for x, d in rows)
-    return compare(degree, theta, bound, eps)
+    return compare(degree, theta, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -331,29 +326,14 @@ def is_crisp_model(kb: WeightedKB, interp: FuzzyInterpretation) -> bool:
     """True when the two-valued interpretation satisfies strict TBox and ABox."""
     if not interp.is_crisp:
         raise ValueError("is_crisp_model needs a two-valued interpretation")
-    for inc in kb.strict:
-        if not check_axiom(interp, ZADEH, inc, eps=0.0):
-            return False
-    for a in kb.abox:
-        if not check_axiom(interp, ZADEH, a, eps=0.0):
-            return False
-    return True
+    return is_fuzzy_model(kb, interp, ZADEH)
 
 
 def is_fuzzy_model(
-    kb: WeightedKB,
-    interp: FuzzyInterpretation,
-    family: LogicFamily,
-    eps: float = EPS_CMP,
+    kb: WeightedKB, interp: FuzzyInterpretation, family: LogicFamily
 ) -> bool:
     """True when every strict axiom and assertion holds to degree >= 1."""
-    for inc in kb.strict:
-        if not check_axiom(interp, family, inc, eps=eps):
-            return False
-    for a in kb.abox:
-        if not check_axiom(interp, family, a, eps=eps):
-            return False
-    return True
+    return all(check_axiom(interp, family, ax) for ax in (*kb.strict, *kb.abox))
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +366,11 @@ class CoherenceReport:
     violations: list[Violation] = field(default_factory=list)
     truncated: bool = False
 
-    def to_json(self, limit: int | None = 10) -> dict:
-        shown = self.violations if limit is None else self.violations[:limit]
+    def to_json(self) -> dict:
         return {
             "coherent": self.coherent,
             "weakly_coherent": self.weakly_coherent,
-            "violations": [v.to_json() for v in shown],
+            "violations": [v.to_json() for v in self.violations[:SHOWN_VIOLATIONS]],
             "violation_count": len(self.violations),
             "truncated": self.truncated,
         }
@@ -563,11 +542,9 @@ def _interp_from_valuations(
     return FuzzyInterpretation(domain=tuple(domain), concepts=concepts)
 
 
-def canonical_crisp_interpretation(
-    kb: WeightedKB, extra_names: tuple[str, ...] = ()
-) -> FuzzyInterpretation:
+def canonical_crisp_interpretation(kb: WeightedKB) -> FuzzyInterpretation:
     """One domain element per strict-TBox-consistent truth assignment."""
-    names = _check_rolefree(kb, *(Name(n) for n in extra_names))
+    names = _check_rolefree(kb)
     rows = consistent_valuations(kb, names)
     if not rows:
         raise ValueError("the strict TBox is unsatisfiable; no canonical model")

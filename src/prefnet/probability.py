@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 from .concepts import And, Concept, Name, Nominal, ProbAssertion
 from .errors import (
@@ -36,7 +37,7 @@ from .fuzzy import (
     degrees,
     eval_concept,
 )
-from .mlp import ActivityTable, Network, StimulusSet, forward
+from .mlp import Network, StimulusSet, forward
 
 __all__ = [
     "Distribution",
@@ -102,14 +103,9 @@ class FuzzyProbInterp:
 
     interp: FuzzyInterpretation
     dist: Distribution
-    family: LogicFamily = ZADEH
+    family: ClassVar[LogicFamily] = ZADEH
 
     def __post_init__(self) -> None:
-        if self.family.name != "zadeh":
-            raise ValueError(
-                "probabilities of fuzzy events are defined here for the"
-                " zadeh family only"
-            )
         members = set(self.interp.domain)
         for elem in self.dist.mu:
             if elem not in members:
@@ -140,18 +136,15 @@ def check_conditional(
     given: Concept,
     lower: float,
     upper: float,
-    eps: float = EPS_CMP,
 ) -> bool:
     """Whether the conditional probability lies in [lower, upper]."""
     ratio = conditional_prob(fpi, left, given)
-    return lower - eps <= ratio <= upper + eps
+    return lower - EPS_CMP <= ratio <= upper + EPS_CMP
 
 
-def fuzzy_cardinality(
-    interp: FuzzyInterpretation, concept: Concept, family: LogicFamily = ZADEH
-) -> float:
+def fuzzy_cardinality(interp: FuzzyInterpretation, concept: Concept) -> float:
     """Sigma-count: the sum of membership degrees over the domain."""
-    return sum(degrees(interp, family, concept))
+    return sum(degrees(interp, ZADEH, concept))
 
 
 def relative_cardinality(
@@ -199,18 +192,13 @@ def nominal_conditional(fpi: FuzzyProbInterp, concept: Concept, individual: str)
     return ratio
 
 
-def network_prob_abox(
-    net: Network,
-    stimuli: StimulusSet,
-    table: ActivityTable | None = None,
-) -> list[ProbAssertion]:
+def network_prob_abox(net: Network, stimuli: StimulusSet) -> list[ProbAssertion]:
     """One probabilistic assertion per unit and stimulus: P(C_k(x))[y_k(x)].
 
     Activities are read as the probabilities that the unit's concept
     applies to the stimulus, with stimulus ids doubling as individuals.
     """
-    if table is None:
-        table = forward(net, stimuli)
+    table = forward(net, stimuli)
     out: list[ProbAssertion] = []
     for u in net.units:
         for sid in stimuli.ids:

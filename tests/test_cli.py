@@ -342,6 +342,42 @@ def test_out_flag_writes_file(capsys, kb_file, tmp_path):
     assert json.loads(target.read_text(encoding="utf-8")) == {"diagnostics": []}
 
 
+def test_invalid_json_is_named(capsys, kb_file, tmp_path):
+    truncated = tmp_path / "cut.json"
+    truncated.write_text('{"domain": ["a", ', encoding="utf-8")
+    code, _, err = run(
+        capsys, "check", "--kb", kb_file, "--interp", str(truncated),
+        "--axiom", "Employee [= Adult",
+    )
+    assert code == 2
+    assert json.loads(err)["error"].startswith("invalid JSON")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entail", "--kb", "k.wkb", "--query", "T(A) [= B"],
+        ["prob", "--interp", "i.json", "--event", "A"],
+        ["validate", "k.wkb"],
+        ["mlp", "verify", "--net", "n.json", "--stimuli", "s.json"],
+    ],
+)
+def test_logic_flag_only_on_check(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--logic", "goedel"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("logic", ["zadeh", "goedel", "lukasiewicz", "product"])
+def test_check_accepts_every_logic(capsys, kb_file, interp_file, logic):
+    code, out, _ = run(
+        capsys, "check", "--kb", kb_file, "--interp", interp_file,
+        "--axiom", "Employee [= Adult", "--mode", "fuzzy", "--logic", logic,
+    )
+    assert code == 0
+    assert json.loads(out)["holds"] is True
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

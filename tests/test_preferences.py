@@ -4,13 +4,18 @@ import random
 import pytest
 
 from prefnet import (
+    Assertion,
     EnumerationLimitError,
     FragmentError,
+    FuzzyInterpretation,
     GOEDEL,
     LUKASIEWICZ,
     NEG_INF,
     Name,
     Not,
+    RoleAssertion,
+    StrictInclusion,
+    WeightedKB,
     ZADEH,
     build_preferences,
     canonical_crisp_interpretation,
@@ -35,9 +40,11 @@ from genutil import (
     interp_to_sets,
     oracle_crisp_weight,
     oracle_minimal,
+    random_alc_concept,
     random_crisp_interp,
     random_fuzzy_interp,
     random_rolefree_kb,
+    set_extension,
 )
 
 
@@ -224,6 +231,48 @@ def test_model_checks(employee_kb, employee_interp):
     assert not is_crisp_model(employee_kb, broken)
 
 
+def test_crisp_model_check_is_exact_on_two_valued_interps():
+    # Every degree is 0 or 1, so the tolerant fuzzy check under zadeh
+    # must give the exact set-semantics verdict.
+    rng = random.Random(4242)
+    names, roles, inds = ["A", "B", "C"], ["r", "s"], ["a", "b"]
+    seen = set()
+    for _ in range(300):
+        base = random_crisp_interp(rng, names, rng.randint(1, 6), roles)
+        individuals = {i: rng.choice(base.domain) for i in inds}
+        interp = FuzzyInterpretation(base.domain, base.concepts, base.roles, individuals)
+
+        def concept():
+            return random_alc_concept(rng, names, roles, inds, depth=2)
+
+        strict = tuple(
+            StrictInclusion(concept(), concept()) for _ in range(rng.randint(0, 2))
+        )
+        abox = tuple(
+            Assertion(concept(), rng.choice(inds))
+            if rng.random() < 0.7
+            else RoleAssertion(rng.choice(roles), rng.choice(inds), rng.choice(inds))
+            for _ in range(rng.randint(0, 2))
+        )
+        kb = WeightedKB(strict=strict, abox=abox)
+        domain, members, succ = interp_to_sets(interp)
+
+        def ext(c):
+            return set_extension(c, domain, members, succ, individuals)
+
+        expected = all(ext(ax.left) <= ext(ax.right) for ax in strict) and all(
+            individuals[ax.individual] in ext(ax.concept)
+            if isinstance(ax, Assertion)
+            else individuals[ax.target]
+            in succ[ax.role].get(individuals[ax.subject], set())
+            for ax in abox
+        )
+        assert is_crisp_model(kb, interp) == expected
+        assert is_fuzzy_model(kb, interp, ZADEH) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # Coherence
 
@@ -295,7 +344,7 @@ def test_coherence_json_shape():
         concepts={"A": {"x": 0.9, "y": 0.9}, "B": {"x": 1.0, "y": 0.2}},
     )
     rep = coherence_report(build_preferences(kb, interp, ZADEH))
-    blob = rep.to_json(limit=10)
+    blob = rep.to_json()
     assert set(blob) == {
         "coherent",
         "weakly_coherent",

@@ -6,7 +6,6 @@ from prefnet import (
     Distribution,
     FuzzyInterpretation,
     FuzzyProbInterp,
-    GOEDEL,
     Name,
     Not,
     UndefinedConditionalError,
@@ -196,15 +195,6 @@ def test_distribution_subset_means_zero_mass(tall_interp):
 def test_distribution_rejects_unknown_elements(tall_interp):
     with pytest.raises(ValueError):
         FuzzyProbInterp(interp=tall_interp, dist=Distribution({"ghost": 1.0}))
-
-
-def test_non_zadeh_rejected(tall_interp):
-    with pytest.raises(ValueError):
-        FuzzyProbInterp(
-            interp=tall_interp,
-            dist=Distribution.uniform(tall_interp.domain),
-            family=GOEDEL,
-        )
 
 
 def test_crisp_case_is_counting():
