@@ -510,7 +510,7 @@ def _verify(net: Network, stimuli: StimulusSet, kind: str) -> VerificationReport
                 max_err = err
             if err > EPS_CMP:
                 identity_ok = False
-    report = coherence_report(model, max_violations=200)
+    report = coherence_report(model)
     coh_ok = report.coherent if kind == "strict" else report.weakly_coherent
     return VerificationReport(
         kind=kind,

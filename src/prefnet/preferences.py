@@ -43,17 +43,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from .concepts import (
-    And,
-    Assertion,
-    Bottom,
     Concept,
     FuzzyInclusion,
     Name,
-    Not,
-    Or,
-    RoleAssertion,
     StrictInclusion,
-    Top,
     Typ,
     concept_names_in,
     contains_typ,
@@ -98,7 +91,8 @@ __all__ = [
 
 NEG_INF = float("-inf")
 ENUMERATION_LIMIT = 20
-# How many coherence violations a report's JSON form lists.
+# How many coherence violations a report collects, and how many it prints.
+MAX_VIOLATIONS = 200
 SHOWN_VIOLATIONS = 10
 
 
@@ -180,7 +174,14 @@ class GlobalPreference:
     parts: tuple[ConceptPreference, ...]
 
     def lt(self, x: str, y: str) -> bool:
-        return any(p.lt(x, y) for p in self.parts) and all(p.leq(x, y) for p in self.parts)
+        return _dominates(
+            tuple(p.weights[x] for p in self.parts), tuple(p.weights[y] for p in self.parts)
+        )
+
+
+def _dominates(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
+    """Pareto dominance of weight vectors: no worse anywhere, better somewhere."""
+    return a != b and all(p >= q for p, q in zip(a, b))
 
 
 @dataclass
@@ -246,15 +247,25 @@ def build_preferences(
 
 
 def typicality_global(model: MultiprefModel, concept: Concept) -> list[str]:
-    """Globally minimal instances of a crisp concept, in domain order."""
+    """Globally minimal instances of a crisp concept, in domain order.
+
+    Distinct weight vectors are visited in descending lexicographic order,
+    where every dominator comes first, so by transitivity a vector is
+    minimal iff no minimal vector found before it dominates it.
+    """
     if model.global_pref is None:
         raise ValueError(
             "no global preference in fuzzy mode; use typicality_induced"
         )
-    member = degrees(model.interp, model.family or ZADEH, concept)
+    member = degrees(model.interp, ZADEH, concept)
     extension = [x for x, d in zip(model.interp.domain, member) if d == 1.0]
-    lt = model.global_pref.lt
-    return [u for u in extension if not any(lt(z, u) for z in extension if z != u)]
+    rows = [model.preferences[c].weights for c in model.concepts]
+    vectors = {x: tuple(w[x] for w in rows) for x in extension}
+    minimal: set[tuple[float, ...]] = set()
+    for v in sorted(set(vectors.values()), reverse=True):
+        if not any(_dominates(m, v) for m in minimal):
+            minimal.add(v)
+    return [x for x in extension if vectors[x] in minimal]
 
 
 def typicality_induced(
@@ -284,8 +295,10 @@ def check_typicality_axiom(
     ``"containment"`` the bound is checked pointwise on every typical
     instance.  An empty typicality set satisfies the plain axiom.
     """
+    if fuzzy_semantics not in ("implication", "containment"):
+        raise ValueError(f"unknown typicality semantics {fuzzy_semantics!r}")
     if isinstance(axiom, StrictInclusion):
-        left, right, theta, bound = axiom.left, axiom.right, None, None
+        left, right, theta, bound = axiom.left, axiom.right, ">=", 1.0
     elif isinstance(axiom, FuzzyInclusion):
         left, right, theta, bound = axiom.left, axiom.right, axiom.theta, axiom.degree
     else:
@@ -303,16 +316,8 @@ def check_typicality_axiom(
         typical = set(typicality_induced(model.interp, family, subject))
 
     rows = list(zip(model.interp.domain, degrees(model.interp, family, right)))
-    if theta is None:
-        theta, bound = ">=", 1.0
-        if model.is_crisp_mode:
-            return all(d == 1.0 for x, d in rows if x in typical)
-    assert bound is not None
-
     if fuzzy_semantics == "containment" and not model.is_crisp_mode:
         return all(compare(d, theta, bound) for x, d in rows if x in typical)
-    if fuzzy_semantics not in ("implication", "containment"):
-        raise ValueError(f"unknown typicality semantics {fuzzy_semantics!r}")
 
     degree = min(family.impl(1.0 if x in typical else 0.0, d) for x, d in rows)
     return compare(degree, theta, bound)
@@ -409,14 +414,12 @@ def _weakly_consistent(pairs: list[tuple[float, float]]) -> bool:
     return True
 
 
-def coherence_report(
-    model: MultiprefModel, *, max_violations: int | None = None
-) -> CoherenceReport:
+def coherence_report(model: MultiprefModel) -> CoherenceReport:
     """Compare each concept's preference with its membership degrees.
 
     The verdict flags come from sorted consistency checks per concept, so
-    they are exact even when ``max_violations`` caps how many witnessing
-    pairs get collected; a pairwise scan runs only for failing concepts.
+    they are exact even though at most ``MAX_VIOLATIONS`` witnessing pairs
+    get collected; a pairwise scan runs only for failing concepts.
     """
     violations: list[Violation] = []
     truncated = False
@@ -432,7 +435,7 @@ def coherence_report(
         if s_ok:
             continue
         weak_ok = weak_ok and _weakly_consistent(pairs)
-        if max_violations is not None and len(violations) >= max_violations:
+        if len(violations) >= MAX_VIOLATIONS:
             truncated = True
             continue
         for x, (wx, dx) in zip(domain, pairs):
@@ -445,7 +448,7 @@ def coherence_report(
                     violations.append(Violation(name, x, y, "weak"))
                 elif pref_strict and not deg_strict:
                     violations.append(Violation(name, x, y, "strict"))
-                if max_violations is not None and len(violations) >= max_violations:
+                if len(violations) >= MAX_VIOLATIONS:
                     truncated = True
                     break
             if truncated:
@@ -462,28 +465,9 @@ def coherence_report(
 # Canonical models and role-free entailment
 
 
-def _eval_boolean(concept: Concept, valuation: dict[str, bool]) -> bool:
-    if isinstance(concept, Top):
-        return True
-    if isinstance(concept, Bottom):
-        return False
-    if isinstance(concept, Name):
-        return valuation[concept.name]
-    if isinstance(concept, Not):
-        return not _eval_boolean(concept.arg, valuation)
-    if isinstance(concept, And):
-        return _eval_boolean(concept.left, valuation) and _eval_boolean(
-            concept.right, valuation
-        )
-    if isinstance(concept, Or):
-        return _eval_boolean(concept.left, valuation) or _eval_boolean(
-            concept.right, valuation
-        )
-    raise FragmentError(f"not a role-free boolean concept: {concept}")
-
-
 def _check_rolefree(kb: WeightedKB, *extra: Concept) -> list[str]:
-    for c in list(kb.all_concepts()) + list(extra):
+    names: set[str] = set(kb.distinguished)
+    for c in (*kb.all_concepts(), *extra):
         if not is_rolefree_concept(c):
             raise FragmentError(
                 f"concept {c} uses roles or nominals; entailment here is"
@@ -493,13 +477,9 @@ def _check_rolefree(kb: WeightedKB, *extra: Concept) -> list[str]:
             raise FragmentError(
                 f"concept {c} nests the typicality operator"
             )
+        names |= concept_names_in(c)
     if kb.abox:
         raise FragmentError("entailment here requires an empty ABox")
-    names: set[str] = set(kb.distinguished)
-    for c in kb.all_concepts():
-        names |= concept_names_in(c)
-    for c in extra:
-        names |= concept_names_in(c)
     ordered = sorted(names)
     if len(ordered) > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
@@ -509,46 +489,41 @@ def _check_rolefree(kb: WeightedKB, *extra: Concept) -> list[str]:
     return ordered
 
 
-def consistent_valuations(
-    kb: WeightedKB, names: list[str]
-) -> list[dict[str, bool]]:
-    """Every truth assignment over the names satisfying the strict TBox."""
-    rows: list[dict[str, bool]] = []
-    for bits in itertools.product((False, True), repeat=len(names)):
-        valuation = dict(zip(names, bits))
-        ok = True
-        for inc in kb.strict:
-            if _eval_boolean(inc.left, valuation) and not _eval_boolean(
-                inc.right, valuation
-            ):
-                ok = False
-                break
-        if ok:
-            rows.append(valuation)
-    return rows
+def consistent_valuations(kb: WeightedKB, names: list[str]) -> list[str]:
+    """Every truth assignment over the names satisfying the strict TBox.
+
+    Assignments are named ``"w" + bits`` with bit k for ``names[k]`` and
+    come in counting order, the first name most significant.
+    """
+    every = _assignment_interp(
+        names, ["w" + "".join(bits) for bits in itertools.product("01", repeat=len(names))]
+    )
+    checks = [
+        (degrees(every, ZADEH, inc.left), degrees(every, ZADEH, inc.right))
+        for inc in kb.strict
+    ]
+    return [
+        x
+        for i, x in enumerate(every.domain)
+        if all(left[i] <= right[i] for left, right in checks)
+    ]
 
 
-def _interp_from_valuations(
-    names: list[str], rows: list[dict[str, bool]]
-) -> FuzzyInterpretation:
-    domain = []
-    concepts: dict[str, dict[str, float]] = {n: {} for n in names}
-    for valuation in rows:
-        elem = "w" + "".join("1" if valuation[n] else "0" for n in names)
-        domain.append(elem)
-        for n in names:
-            if valuation[n]:
-                concepts[n][elem] = 1.0
-    return FuzzyInterpretation(domain=tuple(domain), concepts=concepts)
+def _assignment_interp(names: list[str], elements: list[str]) -> FuzzyInterpretation:
+    """Two-valued interpretation over assignment elements named as above."""
+    return FuzzyInterpretation(
+        domain=tuple(elements),
+        concepts={n: {x: 1.0 for x in elements if x[k + 1] == "1"} for k, n in enumerate(names)},
+    )
 
 
 def canonical_crisp_interpretation(kb: WeightedKB) -> FuzzyInterpretation:
     """One domain element per strict-TBox-consistent truth assignment."""
     names = _check_rolefree(kb)
-    rows = consistent_valuations(kb, names)
-    if not rows:
+    elements = consistent_valuations(kb, names)
+    if not elements:
         raise ValueError("the strict TBox is unsatisfiable; no canonical model")
-    return _interp_from_valuations(names, rows)
+    return _assignment_interp(names, elements)
 
 
 def entails_rolefree(kb: WeightedKB, subject: Concept, consequent: Concept) -> bool:
@@ -559,9 +534,8 @@ def entails_rolefree(kb: WeightedKB, subject: Concept, consequent: Concept) -> b
     strict TBox admits no assignment at all.
     """
     names = _check_rolefree(kb, subject, consequent)
-    rows = consistent_valuations(kb, names)
-    if not rows:
+    elements = consistent_valuations(kb, names)
+    if not elements:
         return True
-    interp = _interp_from_valuations(names, rows)
-    model = build_preferences(kb, interp)
+    model = build_preferences(kb, _assignment_interp(names, elements))
     return check_typicality_axiom(model, StrictInclusion(Typ(subject), consequent))

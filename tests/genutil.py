@@ -101,7 +101,7 @@ def random_rolefree_kb(
     weight_span: float = 5.0,
     with_strict: bool = True,
 ) -> WeightedKB:
-    pool = ["A", "B", "C", "D"][: rng.randint(2, max_names)]
+    pool = ["A", "B", "C", "D", "E", "F"][: rng.randint(2, max_names)]
     distinguished = tuple(
         rng.sample(pool, rng.randint(1, min(2, len(pool))))
     )

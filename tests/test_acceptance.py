@@ -31,15 +31,12 @@ from prefnet import (
     fuzzy_event_prob,
     fuzzy_weight,
     nominal_conditional,
-    parse_concept,
-    parse_kb,
     relative_cardinality,
     typicality_global,
     verify_strict_coherence,
     verify_weak_coherence,
 )
 from genutil import (
-    bool_eval,
     duplicate_element,
     random_boolean_concept,
     random_crisp_interp,
@@ -280,7 +277,6 @@ def test_criterion_5_probability_identities():
                 from prefnet import Nominal
 
                 ratio = conditional_prob(fpi, concept, Nominal(ind))
-                direct = fpi.family.tnorm(1.0, 1.0)  # placeholder keeps flow clear
                 value = nominal_conditional(fpi, concept, ind)
                 from prefnet import eval_concept
 

@@ -1,10 +1,8 @@
-import math
 import random
 
 import pytest
 
 from prefnet import (
-    EPS_CMP,
     FAMILIES,
     FuzzyInterpretation,
     GOEDEL,
@@ -16,7 +14,6 @@ from prefnet import (
     UnsupportedAxiomError,
     check_axiom,
     compare,
-    crisp_interpretation,
     degrees,
     eval_concept,
     eval_inclusion,

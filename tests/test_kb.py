@@ -4,11 +4,9 @@ import pytest
 
 from prefnet import (
     Assertion,
-    DefeasibleInclusion,
     Name,
     ParseError,
     RoleAssertion,
-    WeightedKB,
     classify_fragment,
     load_kb,
     parse_kb,

@@ -10,7 +10,6 @@ from prefnet import (
     Not,
     UndefinedConditionalError,
     UndefinedSubsethoodError,
-    ZADEH,
     check_conditional,
     conditional_prob,
     crisp_interpretation,
