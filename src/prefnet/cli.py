@@ -21,6 +21,8 @@ from .concepts import (
     Signature,
     StrictInclusion,
     Typ,
+    _Parser,
+    _tokenize,
     axiom_to_text,
     parse_concept,
     parse_query_axiom,
@@ -87,8 +89,8 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _query_signature(kb, interp) -> Signature:
-    sig = kb.signature()
+def _query_signature(sig: Signature, interp) -> Signature:
+    """``sig`` widened by the names the interpretation declares."""
     return Signature(
         concept_names=sig.concept_names | frozenset(interp.concepts),
         role_names=sig.role_names | frozenset(interp.roles),
@@ -131,7 +133,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     kb = load_kb(args.kb)
     interp = load_interpretation(args.interp)
     family = get_family(args.logic)
-    axiom = parse_query_axiom(args.axiom, _query_signature(kb, interp))
+    axiom = parse_query_axiom(args.axiom, _query_signature(kb.signature(), interp))
     mode = args.mode
     if mode == "auto":
         mode = "crisp" if interp.is_crisp else "fuzzy"
@@ -220,11 +222,7 @@ def _cmd_prob(args: argparse.Namespace) -> int:
     else:
         dist = Distribution.uniform(interp.domain)
     fpi = FuzzyProbInterp(interp=interp, dist=dist)
-    sig = Signature(
-        concept_names=frozenset(interp.concepts),
-        role_names=frozenset(interp.roles),
-        individual_names=frozenset(interp.individuals),
-    )
+    sig = _query_signature(Signature(), interp)
     results: list[dict] = []
     if args.event:
         concept = parse_concept(args.event, sig, allow_typ=False)
@@ -235,8 +233,8 @@ def _cmd_prob(args: argparse.Namespace) -> int:
             }
         )
     if args.cc:
-        cc_kb = parse_kb("cc: " + args.cc)
-        constraint = cc_kb.extra[0]
+        parser = _Parser(_tokenize(args.cc), sig, allow_typ=False)
+        constraint = parser.parse_axiom((ConditionalConstraint,))
         ratio = conditional_prob(fpi, constraint.left, constraint.given)
         results.append(
             {

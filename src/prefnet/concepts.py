@@ -16,8 +16,9 @@ Concrete syntax is plain ASCII, one expression per string::
 
 Operator binding, loosest to tightest: ``or``, ``and``, ``not``, then the
 quantifier prefixes; parentheses override.  ``[=`` writes subsumption in
-axiom strings, ``@`` attaches a weight, and ``>= <= > <`` attach degree
-bounds.  Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``; the words ``and``,
+axiom strings, ``@`` attaches a weight, ``>= <= > <`` attach degree
+bounds, and ``(C | D)[l,u]`` and ``P(C(a))[p]`` write probabilistic
+constraints.  Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``; the words ``and``,
 ``or``, ``not``, ``exists``, ``forall``, ``Top``, ``Bottom``, and ``T`` are
 reserved.
 
@@ -29,6 +30,7 @@ structurally equal tree.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -58,7 +60,6 @@ __all__ = [
     "FuzzyAssertion",
     "ConditionalConstraint",
     "ProbAssertion",
-    "THETAS",
     "parse_concept",
     "parse_query_axiom",
     "concept_to_text",
@@ -227,8 +228,6 @@ class Signature:
 # ---------------------------------------------------------------------------
 # Axioms
 
-THETAS = (">=", "<=", ">", "<")
-
 
 @dataclass(frozen=True)
 class StrictInclusion:
@@ -316,12 +315,10 @@ _NUMBER_RE = re.compile(r"[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
 RESERVED = {"and", "or", "not", "exists", "forall", "Top", "Bottom", "T"}
 
-IDENT_PATTERN = re.compile(r"\A[A-Za-z_][A-Za-z0-9_]*\Z")
-
 
 def is_identifier(text: str) -> bool:
     """True for a lexically valid, non-reserved identifier."""
-    return bool(IDENT_PATTERN.match(text)) and text not in RESERVED
+    return bool(_IDENT_RE.fullmatch(text)) and text not in RESERVED
 
 
 @dataclass(frozen=True)
@@ -438,9 +435,6 @@ class _Parser:
             raise ParseError(f"expected {shown}, found {found!r}", tok.line, tok.col)
         return self.next()
 
-    def at_end(self) -> bool:
-        return self.peek().kind == "EOF"
-
     def expect_end(self) -> None:
         tok = self.peek()
         if tok.kind != "EOF":
@@ -550,11 +544,134 @@ class _Parser:
         found = tok.value or "end of input"
         raise ParseError(f"expected a concept, found {found!r}", tok.line, tok.col)
 
-    # -- numbers
+    # -- axioms
 
-    def parse_number(self, what: str = "a number") -> float:
-        tok = self.expect("NUMBER", what)
-        return float(tok.value)
+    def parse_axiom(self, forms: tuple[type, ...]) -> object:
+        """Parse one axiom, of one of ``forms``, in the syntax of :func:`axiom_to_text`.
+
+        ``T(``, ``(`` and ``P(`` also open concepts, so a defeasible
+        inclusion, a conditional constraint or a probabilistic assertion is
+        read only when its form is asked for; every caller asks for those
+        alone.
+        """
+        start = self.peek()
+        if DefeasibleInclusion in forms:
+            axiom = self._defeasible()
+        elif ConditionalConstraint in forms:
+            axiom = self._conditional()
+        elif ProbAssertion in forms:
+            axiom = self._prob_assertion()
+        else:
+            axiom = self._inclusion_or_assertion()
+        self.expect_end()
+        if not isinstance(axiom, forms):
+            wanted = " or ".join(form.__name__ for form in forms)
+            raise ParseError(
+                f"expected {wanted}, found {type(axiom).__name__}", start.line, start.col
+            )
+        return axiom
+
+    def _inclusion_or_assertion(self) -> object:
+        """``C [= D``, ``C(a)`` or ``r(a,b)``; the first two take an optional bound."""
+        left = self.parse_or()
+        tok = self.peek()
+        if tok.kind == "SUBSUMES":
+            self.next()
+            right = self.parse_or()
+            if contains_typ(right):
+                raise ParseError(
+                    "typicality operator is only allowed on the left side", tok.line, tok.col
+                )
+            if self.peek().kind == "THETA":
+                theta = self.next().value
+                return FuzzyInclusion(left, right, theta, self.parse_degree())
+            return StrictInclusion(left, right)
+        if tok.kind == "LPAREN":
+            axiom = self._applied(left)
+            if isinstance(axiom, Assertion) and self.peek().kind == "THETA":
+                theta = self.next().value
+                return FuzzyAssertion(
+                    axiom.concept, axiom.individual, theta, self.parse_degree()
+                )
+            return axiom
+        found = tok.value or "end of input"
+        raise ParseError(f"expected '[=' or '(', found {found!r}", tok.line, tok.col)
+
+    def _applied(self, concept: Concept) -> Assertion | RoleAssertion:
+        """``(a)`` or ``(a,b)`` after a concept; two arguments need a role name."""
+        tok = self.expect("LPAREN", "'('")
+        if contains_typ(concept):
+            raise ParseError(
+                "typicality operator is not allowed in assertions", tok.line, tok.col
+            )
+        args = [self._individual()]
+        if self.peek().kind == "COMMA":
+            self.next()
+            args.append(self._individual())
+        self.expect("RPAREN", "')'")
+        if len(args) == 1:
+            return Assertion(concept, args[0])
+        if not isinstance(concept, Name):
+            raise ParseError(
+                "a two-argument assertion needs a bare role name", tok.line, tok.col
+            )
+        return RoleAssertion(concept.name, args[0], args[1])
+
+    def _individual(self) -> str:
+        tok = self.expect("IDENT", "an individual name")
+        self._note(tok, "individual")
+        return tok.value
+
+    def _defeasible(self) -> DefeasibleInclusion:
+        """``T(A) [= D @ w``."""
+        t_tok = self.expect("IDENT", "'T'")
+        if t_tok.value != "T":
+            raise ParseError("expected 'T(...)'", t_tok.line, t_tok.col)
+        self.expect("LPAREN", "'('")
+        subject = self.expect("IDENT", "a concept name")
+        self._note(subject, "concept")
+        self.expect("RPAREN", "')'")
+        self.expect("SUBSUMES", "'[='")
+        consequent = self.parse_or()
+        at_tok = self.expect("AT", "'@'")
+        weight = float(self.expect("NUMBER", "a weight").value)
+        if not math.isfinite(weight):
+            raise ParseError("weight must be finite", at_tok.line, at_tok.col)
+        return DefeasibleInclusion(subject.value, consequent, weight)
+
+    def _conditional(self) -> ConditionalConstraint:
+        """``(C | D)[l,u]``."""
+        self.expect("LPAREN", "'('")
+        left = self.parse_or()
+        self.expect("PIPE", "'|'")
+        given = self.parse_or()
+        self.expect("RPAREN", "')'")
+        self.expect("LBRACKET", "'['")
+        lo_tok = self.peek()
+        lower = self.parse_degree()
+        self.expect("COMMA", "','")
+        upper = self.parse_degree()
+        self.expect("RBRACKET", "']'")
+        if lower > upper:
+            raise ParseError(f"empty interval [{lower}, {upper}]", lo_tok.line, lo_tok.col)
+        return ConditionalConstraint(left, given, lower, upper)
+
+    def _prob_assertion(self) -> ProbAssertion:
+        """``P(C(a))[p]``."""
+        p_tok = self.expect("IDENT", "'P'")
+        if p_tok.value != "P":
+            raise ParseError("expected 'P'", p_tok.line, p_tok.col)
+        self.expect("LPAREN", "'('")
+        inner = self._applied(self.parse_or())
+        if not isinstance(inner, Assertion):
+            raise ParseError(
+                "probabilistic assertions take a single individual", p_tok.line, p_tok.col
+            )
+        self.expect("RPAREN", "')'")
+        self.expect("LBRACKET", "'['")
+        prob = self.parse_degree("a probability in [0,1]")
+        self.expect("RBRACKET", "']'")
+        return ProbAssertion(inner.concept, inner.individual, prob)
 
     def parse_degree(self, what: str = "a degree in [0,1]") -> float:
         tok = self.expect("NUMBER", what)
@@ -582,6 +699,9 @@ def parse_concept(
     return node
 
 
+_QUERY_FORMS = (StrictInclusion, FuzzyInclusion, Assertion, FuzzyAssertion)
+
+
 def parse_query_axiom(
     text: str,
     sig: Signature | None = None,
@@ -595,41 +715,7 @@ def parse_query_axiom(
 
     The left side of an inclusion may be ``T(C)``.
     """
-    parser = _Parser(_tokenize(text), sig=sig, allow_typ=True)
-    left = parser.parse_or()
-    tok = parser.peek()
-    if tok.kind == "SUBSUMES":
-        parser.next()
-        right = parser.parse_or()
-        if contains_typ(right):
-            raise ParseError(
-                "typicality operator is only allowed on the left side", tok.line, tok.col
-            )
-        if parser.peek().kind == "THETA":
-            theta = parser.next().value
-            degree = parser.parse_degree()
-            parser.expect_end()
-            return FuzzyInclusion(left, right, theta, degree)
-        parser.expect_end()
-        return StrictInclusion(left, right)
-    if tok.kind == "LPAREN":
-        if contains_typ(left):
-            raise ParseError(
-                "typicality operator is not allowed in assertions", tok.line, tok.col
-            )
-        parser.next()
-        ind = parser.expect("IDENT", "an individual name")
-        parser._note(ind, "individual")
-        parser.expect("RPAREN", "')'")
-        if parser.peek().kind == "THETA":
-            theta = parser.next().value
-            degree = parser.parse_degree()
-            parser.expect_end()
-            return FuzzyAssertion(left, ind.value, theta, degree)
-        parser.expect_end()
-        return Assertion(left, ind.value)
-    found = tok.value or "end of input"
-    raise ParseError(f"expected '[=' or '(', found {found!r}", tok.line, tok.col)
+    return _Parser(_tokenize(text), sig=sig, allow_typ=True).parse_axiom(_QUERY_FORMS)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ statement sits on its own line::
     cc: (Young | Employee)[0.2,0.8]
     passert: P(Young(tom))[0.5]
 
-The typicality operator appears only on the left side of ``def`` lines.
+Each body is one axiom in the syntax :func:`axiom_to_text` writes, and
+the keyword names the forms it may take.  The typicality operator
+appears only on the left side of ``def`` lines.
 Each ``def(<C>)`` subject must be declared distinguished, and a second
 ``distinguished:`` line is a duplicate-declaration error.  Namespaces
 (concept, role, individual) are inferred from position and must not
@@ -36,21 +38,23 @@ from .concepts import (
     Concept,
     ConditionalConstraint,
     DefeasibleInclusion,
+    Exists,
+    Forall,
     FuzzyAssertion,
     FuzzyInclusion,
     Name,
+    Nominal,
     ProbAssertion,
     RoleAssertion,
     Signature,
     StrictInclusion,
     _Parser,
+    _Token,
     _tokenize,
     axiom_to_text,
-    concept_names_in,
-    individual_names_in,
     is_el_concept,
     is_rolefree_concept,
-    role_names_in,
+    walk,
 )
 from .errors import ParseError
 
@@ -122,9 +126,13 @@ class WeightedKB:
         roles: set[str] = set()
         individuals: set[str] = set()
         for c in self.all_concepts():
-            concepts |= concept_names_in(c)
-            roles |= role_names_in(c)
-            individuals |= individual_names_in(c)
+            for node in walk(c):
+                if isinstance(node, Name):
+                    concepts.add(node.name)
+                elif isinstance(node, (Exists, Forall)):
+                    roles.add(node.role)
+                elif isinstance(node, Nominal):
+                    individuals.add(node.individual)
         for a in self.abox:
             if isinstance(a, Assertion):
                 individuals.add(a.individual)
@@ -155,51 +163,26 @@ class Diagnostic:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Parsing and serialization
 
-_HEAD_RE = re.compile(r"^(\s*)([A-Za-z_][A-Za-z0-9_-]*|def\s*\(\s*[A-Za-z_]\w*\s*\))\s*:")
-_DEF_HEAD_RE = re.compile(r"^def\s*\(\s*([A-Za-z_]\w*)\s*\)$")
+_HEAD_RE = re.compile(r"^\s*(?:def\s*\(\s*([A-Za-z_]\w*)\s*\)|([A-Za-z_][A-Za-z0-9_-]*))\s*:")
+
+# Statement keyword -> the axiom forms its body may take; ``def(<C>)``
+# takes a defeasible inclusion and ``distinguished`` a list of names.
+_FORMS = {
+    "strict": (StrictInclusion,),
+    "assert": (Assertion, RoleAssertion),
+    "fuzzy": (FuzzyInclusion,),
+    "fuzzy-assert": (FuzzyAssertion,),
+    "cc": (ConditionalConstraint,),
+    "passert": (ProbAssertion,),
+}
+_KEYWORD = {form: keyword for keyword, forms in _FORMS.items() for form in forms}
 
 
 def _strip_comment(line: str) -> str:
     idx = line.find("#")
     return line if idx < 0 else line[:idx]
-
-
-class _KbBuilder:
-    def __init__(self) -> None:
-        self.distinguished: list[str] = []
-        self.saw_distinguished = False
-        self.strict: list[StrictInclusion] = []
-        self.blocks: dict[str, list[DefeasibleInclusion]] = {}
-        self.abox: list[Assertion | RoleAssertion] = []
-        self.extra: list[ExtraAxiom] = []
-
-
-def _body_parser(body: str, line_no: int, col_offset: int) -> _Parser:
-    tokens = _tokenize(body, line=line_no, col_offset=col_offset)
-    return _Parser(tokens, allow_typ=False)
-
-
-def _parse_applied(parser: _Parser) -> tuple[Concept | None, str, list[str]]:
-    """Parse ``<concept>(<ind>)`` or ``<role>(<a>,<b>)``; returns (concept, role, args)."""
-    start = parser.peek()
-    concept = parser.parse_or()
-    parser.expect("LPAREN", "'('")
-    first = parser.expect("IDENT", "an individual name")
-    args = [first.value]
-    if parser.peek().kind == "COMMA":
-        parser.next()
-        second = parser.expect("IDENT", "an individual name")
-        args.append(second.value)
-    parser.expect("RPAREN", "')'")
-    if len(args) == 2:
-        if not isinstance(concept, Name):
-            raise ParseError(
-                "a two-argument assertion needs a bare role name", start.line, start.col
-            )
-        return None, concept.name, args
-    return concept, "", args
 
 
 def parse_kb(text: str) -> WeightedKB:
@@ -209,12 +192,9 @@ def parse_kb(text: str) -> WeightedKB:
     on ``def`` subjects that are not declared distinguished, and on
     duplicate declarations.
     """
-    builder = _KbBuilder()
-    lines = text.splitlines()
-
-    # First pass: the distinguished declaration, so def-blocks can appear
-    # anywhere relative to it.
-    for idx, raw in enumerate(lines, start=1):
+    distinguished: list[str] | None = None
+    statements: list[tuple[object, _Token]] = []
+    for idx, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line.strip():
             continue
@@ -222,153 +202,63 @@ def parse_kb(text: str) -> WeightedKB:
         if m is None:
             col = len(line) - len(line.lstrip()) + 1
             raise ParseError("expected a statement keyword followed by ':'", idx, col)
-        head = m.group(2).strip()
-        if head == "distinguished":
-            if builder.saw_distinguished:
+        subject, keyword = m.groups()
+        forms = (DefeasibleInclusion,) if subject else _FORMS.get(keyword)
+        if forms is None and keyword != "distinguished":
+            raise ParseError(f"unknown statement keyword {keyword!r}", idx, 1)
+        parser = _Parser(_tokenize(line[m.end() :], idx, m.end()), allow_typ=False)
+        start = parser.peek()
+        if forms is None:
+            if distinguished is not None:
                 raise ParseError("duplicate 'distinguished:' declaration", idx, 1)
-            builder.saw_distinguished = True
-            parser = _body_parser(line[m.end() :], idx, m.end())
+            distinguished = []
             while True:
                 tok = parser.expect("IDENT", "a concept name")
-                if tok.value in builder.distinguished:
+                if tok.value in distinguished:
                     raise ParseError(
                         f"duplicate distinguished concept {tok.value!r}", tok.line, tok.col
                     )
-                builder.distinguished.append(tok.value)
-                if parser.peek().kind == "COMMA":
-                    parser.next()
-                    continue
-                parser.expect_end()
-                break
-            for name in builder.distinguished:
-                builder.blocks[name] = []
+                distinguished.append(tok.value)
+                if parser.peek().kind != "COMMA":
+                    break
+                parser.next()
+            parser.expect_end()
+            continue
+        axiom = parser.parse_axiom(forms)
+        if subject and axiom.subject != subject:
+            raise ParseError(
+                f"subject {axiom.subject!r} does not match def({subject})",
+                start.line,
+                start.col,
+            )
+        statements.append((axiom, start))
 
-    # Second pass: everything else, in file order.
-    for idx, raw in enumerate(lines, start=1):
-        line = _strip_comment(raw)
-        if not line.strip():
-            continue
-        m = _HEAD_RE.match(line)
-        assert m is not None
-        head = m.group(2).strip()
-        body = line[m.end() :]
-        col0 = m.end()
-        if head == "distinguished":
-            continue
-        parser = _body_parser(body, idx, col0)
-        defm = _DEF_HEAD_RE.match(head)
-        if defm is not None:
-            _parse_def_line(parser, defm.group(1), idx, builder)
-        elif head == "strict":
-            left = parser.parse_or()
-            parser.expect("SUBSUMES", "'[='")
-            right = parser.parse_or()
-            parser.expect_end()
-            builder.strict.append(StrictInclusion(left, right))
-        elif head == "assert":
-            concept, role, args = _parse_applied(parser)
-            parser.expect_end()
-            if concept is None:
-                builder.abox.append(RoleAssertion(role, args[0], args[1]))
-            else:
-                builder.abox.append(Assertion(concept, args[0]))
-        elif head == "fuzzy":
-            left = parser.parse_or()
-            parser.expect("SUBSUMES", "'[='")
-            right = parser.parse_or()
-            theta = parser.expect("THETA", "a comparison (>=, <=, >, <)").value
-            degree = parser.parse_degree()
-            parser.expect_end()
-            builder.extra.append(FuzzyInclusion(left, right, theta, degree))
-        elif head == "fuzzy-assert":
-            concept, role, args = _parse_applied(parser)
-            if concept is None:
-                raise ParseError("fuzzy assertions take a single individual", idx, col0)
-            theta = parser.expect("THETA", "a comparison (>=, <=, >, <)").value
-            degree = parser.parse_degree()
-            parser.expect_end()
-            builder.extra.append(FuzzyAssertion(concept, args[0], theta, degree))
-        elif head == "cc":
-            parser.expect("LPAREN", "'('")
-            left = parser.parse_or()
-            parser.expect("PIPE", "'|'")
-            given = parser.parse_or()
-            parser.expect("RPAREN", "')'")
-            parser.expect("LBRACKET", "'['")
-            lo_tok = parser.peek()
-            lower = parser.parse_degree()
-            parser.expect("COMMA", "','")
-            upper = parser.parse_degree()
-            parser.expect("RBRACKET", "']'")
-            parser.expect_end()
-            if lower > upper:
+    blocks: dict[str, list[DefeasibleInclusion]] = {
+        name: [] for name in distinguished or ()
+    }
+    strict, abox, extra = [], [], []
+    for axiom, start in statements:
+        if isinstance(axiom, DefeasibleInclusion):
+            if axiom.subject not in blocks:
                 raise ParseError(
-                    f"empty interval [{lower}, {upper}]", lo_tok.line, lo_tok.col
+                    f"{axiom.subject!r} is not declared distinguished",
+                    start.line,
+                    start.col,
                 )
-            builder.extra.append(ConditionalConstraint(left, given, lower, upper))
-        elif head == "passert":
-            p_tok = parser.expect("IDENT", "'P'")
-            if p_tok.value != "P":
-                raise ParseError("expected 'P'", p_tok.line, p_tok.col)
-            parser.expect("LPAREN", "'('")
-            concept, role, args = _parse_applied(parser)
-            if concept is None:
-                raise ParseError(
-                    "probabilistic assertions take a single individual", idx, col0
-                )
-            parser.expect("RPAREN", "')'")
-            parser.expect("LBRACKET", "'['")
-            prob = parser.parse_degree("a probability in [0,1]")
-            parser.expect("RBRACKET", "']'")
-            parser.expect_end()
-            builder.extra.append(ProbAssertion(concept, args[0], prob))
+            blocks[axiom.subject].append(axiom)
+        elif isinstance(axiom, StrictInclusion):
+            strict.append(axiom)
+        elif isinstance(axiom, (Assertion, RoleAssertion)):
+            abox.append(axiom)
         else:
-            raise ParseError(f"unknown statement keyword {head!r}", idx, 1)
-
+            extra.append(axiom)
     return WeightedKB(
-        distinguished=tuple(builder.distinguished),
-        strict=tuple(builder.strict),
-        defeasible={k: tuple(v) for k, v in builder.blocks.items()},
-        abox=tuple(builder.abox),
-        extra=tuple(builder.extra),
+        distinguished=tuple(blocks),
+        strict=tuple(strict),
+        defeasible={k: tuple(v) for k, v in blocks.items()},
+        abox=tuple(abox),
+        extra=tuple(extra),
     )
-
-
-def _parse_def_line(
-    parser: _Parser, head_subject: str, line_no: int, builder: _KbBuilder
-) -> None:
-    t_tok = parser.expect("IDENT", "'T'")
-    if t_tok.value != "T":
-        raise ParseError("expected 'T(...)'", t_tok.line, t_tok.col)
-    parser.expect("LPAREN", "'('")
-    subj_tok = parser.expect("IDENT", "a concept name")
-    parser.expect("RPAREN", "')'")
-    if subj_tok.value != head_subject:
-        raise ParseError(
-            f"subject {subj_tok.value!r} does not match def({head_subject})",
-            subj_tok.line,
-            subj_tok.col,
-        )
-    if head_subject not in builder.distinguished:
-        raise ParseError(
-            f"{head_subject!r} is not declared distinguished",
-            subj_tok.line,
-            subj_tok.col,
-        )
-    parser.expect("SUBSUMES", "'[='")
-    consequent = parser.parse_or()
-    at_tok = parser.expect("AT", "'@'")
-    weight = parser.parse_number("a weight")
-    parser.expect_end()
-    if weight != weight or weight in (float("inf"), float("-inf")):
-        raise ParseError("weight must be finite", at_tok.line, at_tok.col)
-    builder.blocks[head_subject].append(
-        DefeasibleInclusion(head_subject, consequent, weight)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Serialization and file IO
 
 
 def serialize_kb(kb: WeightedKB) -> str:
@@ -376,22 +266,11 @@ def serialize_kb(kb: WeightedKB) -> str:
     out: list[str] = []
     if kb.distinguished:
         out.append("distinguished: " + ", ".join(kb.distinguished))
-    for inc in kb.strict:
-        out.append(f"strict: {axiom_to_text(inc)}")
+    out += [f"strict: {axiom_to_text(inc)}" for inc in kb.strict]
     for name in kb.distinguished:
-        for d in kb.defeasible.get(name, ()):
-            out.append(f"def({name}): {axiom_to_text(d)}")
-    for a in kb.abox:
-        out.append(f"assert: {axiom_to_text(a)}")
-    for ax in kb.extra:
-        if isinstance(ax, FuzzyInclusion):
-            out.append(f"fuzzy: {axiom_to_text(ax)}")
-        elif isinstance(ax, FuzzyAssertion):
-            out.append(f"fuzzy-assert: {axiom_to_text(ax)}")
-        elif isinstance(ax, ConditionalConstraint):
-            out.append(f"cc: {axiom_to_text(ax)}")
-        elif isinstance(ax, ProbAssertion):
-            out.append(f"passert: {axiom_to_text(ax)}")
+        out += [f"def({name}): {axiom_to_text(d)}" for d in kb.defaults_for(name)]
+    for ax in (*kb.abox, *kb.extra):
+        out.append(f"{_KEYWORD[type(ax)]}: {axiom_to_text(ax)}")
     return "\n".join(out) + ("\n" if out else "")
 
 

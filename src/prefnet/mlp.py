@@ -310,7 +310,6 @@ def forward(
     net: Network,
     stimuli: StimulusSet,
     *,
-    max_iterations: int = MAX_ITERATIONS,
     force_iterative: bool = False,
 ) -> ActivityTable:
     """Evaluate the network on every stimulus.
@@ -336,7 +335,7 @@ def forward(
         else:
             for u in net.units:
                 signals[u.id] = 0.0
-            for _ in range(max_iterations):
+            for _ in range(MAX_ITERATIONS):
                 new = {u.id: phi[u.id](_field(u, signals)) for u in net.units}
                 delta = max(abs(y - signals[k]) for k, y in new.items())
                 signals.update(new)
@@ -345,7 +344,7 @@ def forward(
             else:
                 raise NonConvergenceError(
                     f"no stationary state for stimulus {sid!r} within"
-                    f" {max_iterations} iterations"
+                    f" {MAX_ITERATIONS} iterations"
                 )
             # One settling pass so recorded pairs satisfy y = phi(u) exactly.
             fields = {u.id: _field(u, signals) for u in net.units}

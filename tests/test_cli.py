@@ -329,6 +329,22 @@ def test_prob_cc_full_interval(capsys, interp_file):
     assert json.loads(out)["results"][0]["holds"] is True
 
 
+def test_prob_cc_error_points_into_the_argument(capsys, interp_file):
+    code, _, err = run(
+        capsys, "prob", "--interp", interp_file, "--cc", "(Young | Top)[0.9,0.1]"
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "line 1, col 15: empty interval [0.9, 0.1]"
+
+
+def test_prob_cc_names_are_checked_against_the_interpretation(capsys, interp_file):
+    code, _, err = run(
+        capsys, "prob", "--interp", interp_file, "--cc", "(Young | Martian)[0,1]"
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "line 1, col 10: unknown concept name 'Martian'"
+
+
 def test_prob_requires_a_query(capsys, interp_file):
     code, _, err = run(capsys, "prob", "--interp", interp_file)
     assert code == 2

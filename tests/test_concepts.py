@@ -244,6 +244,21 @@ def test_parser_totality(text):
         assert e.col >= 1
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=40),
+        st.text(alphabet="AP Tr(){}[],.|@[=<>-0.5e9 andornotexists", max_size=40),
+    )
+)
+def test_query_parser_totality(text):
+    try:
+        parse_query_axiom(text)
+    except ParseError as e:
+        assert e.line >= 1
+        assert e.col >= 1
+
+
 def test_generator_round_trip():
     rng = random.Random(7)
     for _ in range(200):

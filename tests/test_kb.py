@@ -1,12 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefnet import (
     Assertion,
+    Concept,
+    ConditionalConstraint,
+    DefeasibleInclusion,
+    FuzzyAssertion,
+    FuzzyInclusion,
     Name,
     ParseError,
+    ProbAssertion,
     RoleAssertion,
+    StrictInclusion,
+    WeightedKB,
     classify_fragment,
     load_kb,
     parse_kb,
@@ -14,7 +24,7 @@ from prefnet import (
     serialize_kb,
     validate_kb,
 )
-from genutil import random_rolefree_kb
+from genutil import random_alc_concept, random_rolefree_kb
 
 
 def test_parse_employee_kb(employee_kb):
@@ -76,6 +86,9 @@ def test_def_head_must_match_subject():
 def test_def_block_needs_declaration():
     with pytest.raises(ParseError):
         parse_kb("distinguished: A\ndef(B): T(B) [= C @ 1")
+    # The declaration may come after the block.
+    kb = parse_kb("def(B): T(B) [= C @ 1\ndistinguished: A, B")
+    assert kb.defaults_for("B")[0].weight == 1.0
 
 
 def test_typicality_not_allowed_in_bodies():
@@ -115,6 +128,88 @@ def test_random_kb_round_trips():
     for _ in range(100):
         kb = random_rolefree_kb(rng)
         assert parse_kb(serialize_kb(kb)) == kb
+
+
+def random_full_kb(rng: random.Random) -> WeightedKB:
+    """A KB with every statement form, compound concepts and nominals."""
+    names, roles, inds = ["A", "B", "C"], ["r", "s"], ["tom", "bob"]
+
+    def concept() -> Concept:
+        return random_alc_concept(rng, names, roles, inds, 3)
+
+    def degree() -> float:
+        return rng.choice([0.0, 1.0, round(rng.random(), 3), rng.random()])
+
+    def theta() -> str:
+        return rng.choice([">=", "<=", ">", "<"])
+
+    distinguished = tuple(rng.sample(names, rng.randint(1, 3)))
+    defeasible = {
+        name: tuple(
+            DefeasibleInclusion(name, concept(), rng.uniform(-100, 100))
+            for _ in range(rng.randint(0, 3))
+        )
+        for name in distinguished
+    }
+    strict = tuple(
+        StrictInclusion(concept(), concept()) for _ in range(rng.randint(0, 3))
+    )
+    abox = tuple(
+        Assertion(concept(), rng.choice(inds))
+        if rng.random() < 0.5
+        else RoleAssertion(rng.choice(roles), rng.choice(inds), rng.choice(inds))
+        for _ in range(rng.randint(0, 4))
+    )
+    extra = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            extra.append(FuzzyInclusion(concept(), concept(), theta(), degree()))
+        elif kind == 1:
+            extra.append(FuzzyAssertion(concept(), rng.choice(inds), theta(), degree()))
+        elif kind == 2:
+            lower, upper = sorted((degree(), degree()))
+            extra.append(ConditionalConstraint(concept(), concept(), lower, upper))
+        else:
+            extra.append(ProbAssertion(concept(), rng.choice(inds), degree()))
+    return WeightedKB(distinguished, strict, defeasible, abox, tuple(extra))
+
+
+def test_every_statement_form_round_trips():
+    rng = random.Random(23)
+    kinds = set()
+    for _ in range(300):
+        kb = random_full_kb(rng)
+        kinds |= {type(ax) for ax in (*kb.strict, *kb.abox, *kb.extra)}
+        kinds |= {type(d) for block in kb.defeasible.values() for d in block}
+        assert parse_kb(serialize_kb(kb)) == kb
+    assert len(kinds) == 8
+
+
+KB_KEYWORDS = ["distinguished", "strict", "def(A)", "assert", "fuzzy", "fuzzy-assert", "cc", "passert"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=60),
+        st.lists(
+            st.builds(
+                lambda keyword, body: f"{keyword}: {body}",
+                st.sampled_from(KB_KEYWORDS),
+                st.text(alphabet="ABPTr(){}[],.|@[=<>-0.5e9 andnotexists#", max_size=30),
+            ),
+            max_size=4,
+        ).map("\n".join),
+    )
+)
+def test_kb_parser_totality(text):
+    # Arbitrary input either parses or raises a positioned ParseError.
+    try:
+        parse_kb(text)
+    except ParseError as e:
+        assert e.line >= 1
+        assert e.col >= 1
 
 
 def test_validate_clean_kb(employee_kb):

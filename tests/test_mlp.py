@@ -29,6 +29,7 @@ from prefnet import (
     verify_strict_coherence,
     verify_weak_coherence,
 )
+from prefnet import mlp
 from genutil import random_feedforward_net, random_stimuli
 
 
@@ -210,7 +211,7 @@ def test_recurrent_convergence():
     )
 
 
-def test_nonconvergence_raises():
+def test_nonconvergence_raises(monkeypatch):
     # linear-clamp with gain 4 oscillates between the saturation points
     net = Network(
         inputs=("x",),
@@ -230,8 +231,9 @@ def test_nonconvergence_raises():
         ),
         c_units=("a", "b"),
     )
-    with pytest.raises(NonConvergenceError):
-        forward(net, one_stimulus_for(net, 0.5), max_iterations=200)
+    monkeypatch.setattr(mlp, "MAX_ITERATIONS", 200)
+    with pytest.raises(NonConvergenceError, match="200 iterations"):
+        forward(net, one_stimulus_for(net, 0.5))
 
 
 def test_cycle_detection():

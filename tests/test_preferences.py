@@ -418,6 +418,36 @@ def test_consistent_valuations_respect_strict():
     assert set(consistent_valuations(kb, ["A", "B"])) == {"w00", "w01", "w11"}
 
 
+def test_consistent_valuations_check_every_strict_inclusion():
+    # Two to four strict inclusions over up to five names, against a
+    # brute-force check of each assignment.
+    rng = random.Random(41)
+    later_inclusion_excludes = False
+    for _ in range(200):
+        names = ["A", "B", "C", "D", "E"][: rng.randint(2, 5)]
+        strict = tuple(
+            StrictInclusion(
+                random_boolean_concept(rng, names, 2),
+                random_boolean_concept(rng, names, 2),
+            )
+            for _ in range(rng.randint(2, 4))
+        )
+        expected = []
+        for bits in itertools.product("01", repeat=len(names)):
+            valuation = {n: b == "1" for n, b in zip(names, bits)}
+            holds = [
+                not bool_eval(inc.left, valuation) or bool_eval(inc.right, valuation)
+                for inc in strict
+            ]
+            if all(holds):
+                expected.append("w" + "".join(bits))
+            elif holds[0]:
+                later_inclusion_excludes = True
+        kb = WeightedKB(strict=strict)
+        assert consistent_valuations(kb, names) == expected
+    assert later_inclusion_excludes
+
+
 def test_canonical_interpretation_names_elements():
     kb = parse_kb("distinguished: A\ndef(A): T(A) [= B @ 1")
     interp = canonical_crisp_interpretation(kb)
