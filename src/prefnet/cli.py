@@ -17,7 +17,6 @@ from pathlib import Path
 from .concepts import (
     ConditionalConstraint,
     FuzzyInclusion,
-    ProbAssertion,
     Signature,
     StrictInclusion,
     Typ,
@@ -31,7 +30,6 @@ from .errors import ParseError, PrefnetError
 from .fuzzy import (
     EPS_CMP,
     FAMILIES,
-    ZADEH,
     check_axiom,
     get_family,
     interpretation_to_json,
@@ -51,7 +49,7 @@ from .mlp import (
 from .preferences import (
     build_preferences,
     check_typicality_axiom,
-    entails_rolefree,
+    counter_model,
     is_crisp_model,
     is_fuzzy_model,
     typicality_global,
@@ -173,8 +171,11 @@ def _cmd_entail(args: argparse.Namespace) -> int:
     query = parse_query_axiom(args.query)
     if not isinstance(query, StrictInclusion) or not isinstance(query.left, Typ):
         return _fail("the query must have the form 'T(C) [= D'")
-    verdict = entails_rolefree(kb, query.left.arg, query.right)
-    _emit_json({"query": axiom_to_text(query), "entailed": verdict}, args.out)
+    witness = counter_model(kb, query.left.arg, query.right)
+    result: dict = {"query": axiom_to_text(query), "entailed": witness is None}
+    if witness is not None:
+        result["counter_model"] = witness
+    _emit_json(result, args.out)
     return 0
 
 
@@ -260,7 +261,7 @@ def _cmd_prob(args: argparse.Namespace) -> int:
             }
         )
     if args.queries:
-        qkb = load_kb(args.queries)
+        qkb = load_kb(args.queries, keywords=("cc", "passert"))
         for ax in qkb.extra:
             entry: dict = {"axiom": axiom_to_text(ax)}
             if isinstance(ax, ConditionalConstraint):
@@ -268,12 +269,10 @@ def _cmd_prob(args: argparse.Namespace) -> int:
                 entry["holds"] = check_conditional(
                     fpi, ax.left, ax.given, ax.lower, ax.upper
                 )
-            elif isinstance(ax, ProbAssertion):
+            else:
                 value = nominal_conditional(fpi, ax.concept, ax.individual)
                 entry["value"] = value
                 entry["holds"] = abs(value - ax.prob) <= EPS_CMP
-            else:
-                entry["holds"] = check_axiom(interp, ZADEH, ax)
             results.append(entry)
     if not results:
         return _fail("nothing to evaluate: pass --event, --cc, --subsethood, or --queries")
@@ -324,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(handler=_cmd_check)
 
-    p = subs.add_parser("entail", help="role-free entailment over all models")
+    p = subs.add_parser(
+        "entail", help="role-free entailment in the KB's canonical model"
+    )
     p.add_argument("--kb", required=True)
     p.add_argument("--query", required=True, help="query text 'T(C) [= D'")
     _add_out(p)

@@ -30,6 +30,7 @@ overlap; overlaps surface as validation diagnostics.
 from __future__ import annotations
 
 import re
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -185,11 +186,13 @@ def _strip_comment(line: str) -> str:
     return line if idx < 0 else line[:idx]
 
 
-def parse_kb(text: str) -> WeightedKB:
+def parse_kb(text: str, keywords: Collection[str] | None = None) -> WeightedKB:
     """Parse ``.wkb`` text into a :class:`WeightedKB`.
 
-    Raises :class:`ParseError` with a line and column on syntax errors,
-    on ``def`` subjects that are not declared distinguished, and on
+    ``keywords``, when given, names the only statement keywords the text
+    may use (``def`` for defeasible lines).  Raises :class:`ParseError`
+    with a line and column on syntax errors, on other keywords, on
+    ``def`` subjects that are not declared distinguished, and on
     duplicate declarations.
     """
     distinguished: list[str] | None = None
@@ -206,6 +209,13 @@ def parse_kb(text: str) -> WeightedKB:
         forms = (DefeasibleInclusion,) if subject else _FORMS.get(keyword)
         if forms is None and keyword != "distinguished":
             raise ParseError(f"unknown statement keyword {keyword!r}", idx, 1)
+        if keywords is not None and (keyword or "def") not in keywords:
+            raise ParseError(
+                f"{keyword or 'def'!r} statements are not allowed here;"
+                f" expected {', '.join(keywords)}",
+                idx,
+                len(line) - len(line.lstrip()) + 1,
+            )
         parser = _Parser(_tokenize(line[m.end() :], idx, m.end()), allow_typ=False)
         start = parser.peek()
         if forms is None:
@@ -274,8 +284,8 @@ def serialize_kb(kb: WeightedKB) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
-def load_kb(path: str | Path) -> WeightedKB:
-    return parse_kb(Path(path).read_text(encoding="utf-8"))
+def load_kb(path: str | Path, keywords: Collection[str] | None = None) -> WeightedKB:
+    return parse_kb(Path(path).read_text(encoding="utf-8"), keywords)
 
 
 def save_kb(kb: WeightedKB, path: str | Path) -> None:

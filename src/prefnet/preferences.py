@@ -34,19 +34,28 @@ For knowledge bases without roles, quantifiers, or nominals, entailment is
 decided on one canonical model whose domain holds every truth assignment
 over the mentioned concept names that satisfies the strict inclusions.
 Copying a domain element never changes typicality verdicts, which is what
-makes the single canonical model adequate.
+makes the single canonical model adequate, and also lets entailment work
+on cells of assignments with equal weight vectors instead of elements:
+concepts become bitmasks over blocks of assignments, and the skyline runs
+over the distinct vectors.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from operator import ge
 
 from .concepts import (
+    And,
+    Bottom,
     Concept,
     FuzzyInclusion,
     Name,
+    Not,
+    Or,
     StrictInclusion,
+    Top,
     Typ,
     concept_names_in,
     contains_typ,
@@ -85,12 +94,16 @@ __all__ = [
     "coherence_report",
     "consistent_valuations",
     "canonical_crisp_interpretation",
+    "counter_model",
     "entails_rolefree",
     "ENUMERATION_LIMIT",
 ]
 
 NEG_INF = float("-inf")
 ENUMERATION_LIMIT = 20
+# Role-free entailment visits the 2^n truth assignments 2^_BLOCK_BITS at a
+# time, each concept one int mask per block.
+_BLOCK_BITS = 12
 # How many coherence violations a report collects, and how many it prints.
 MAX_VIOLATIONS = 200
 SHOWN_VIOLATIONS = 10
@@ -181,7 +194,7 @@ class GlobalPreference:
 
 def _dominates(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
     """Pareto dominance of weight vectors: no worse anywhere, better somewhere."""
-    return a != b and all(p >= q for p, q in zip(a, b))
+    return a != b and all(map(ge, a, b))
 
 
 @dataclass
@@ -246,13 +259,26 @@ def build_preferences(
 # Typicality
 
 
-def typicality_global(model: MultiprefModel, concept: Concept) -> list[str]:
-    """Globally minimal instances of a crisp concept, in domain order.
+def _skyline(distinct: Iterable[tuple[float, ...]]) -> set[tuple[float, ...]]:
+    """The Pareto-minimal ones among distinct weight vectors.
 
-    Distinct weight vectors are visited in descending lexicographic order,
-    where every dominator comes first, so by transitivity a vector is
-    minimal iff no minimal vector found before it dominates it.
+    A presorted skyline (Chomicki et al., ICDE 2003): vectors are visited
+    in descending lexicographic order, where every dominator comes first,
+    so by transitivity a vector is minimal iff no minimal vector found
+    before it dominates it.
     """
+    minimal: set[tuple[float, ...]] = set()
+    for v in sorted(distinct, reverse=True):
+        for m in minimal:
+            if _dominates(m, v):
+                break
+        else:
+            minimal.add(v)
+    return minimal
+
+
+def typicality_global(model: MultiprefModel, concept: Concept) -> list[str]:
+    """Globally minimal instances of a crisp concept, in domain order."""
     if model.global_pref is None:
         raise ValueError(
             "no global preference in fuzzy mode; use typicality_induced"
@@ -261,10 +287,7 @@ def typicality_global(model: MultiprefModel, concept: Concept) -> list[str]:
     extension = [x for x, d in zip(model.interp.domain, member) if d == 1.0]
     rows = [model.preferences[c].weights for c in model.concepts]
     vectors = {x: tuple(w[x] for w in rows) for x in extension}
-    minimal: set[tuple[float, ...]] = set()
-    for v in sorted(set(vectors.values()), reverse=True):
-        if not any(_dominates(m, v) for m in minimal):
-            minimal.add(v)
+    minimal = _skyline(set(vectors.values()))
     return [x for x in extension if vectors[x] in minimal]
 
 
@@ -489,24 +512,75 @@ def _check_rolefree(kb: WeightedKB, *extra: Concept) -> list[str]:
     return ordered
 
 
+def _blocks(names: list[str]) -> Iterator[tuple[int, int, dict[str, int]]]:
+    """The assignments over the names, ``2**_BLOCK_BITS`` at a time.
+
+    Assignment i gives ``names[k]`` bit ``len(names) - 1 - k`` of i, so
+    counting order puts the first name most significant.  Each block
+    yields its first index ``base``, its full mask and one mask per name,
+    where bit p stands for assignment ``base + p``.
+    """
+    n = len(names)
+    low = min(_BLOCK_BITS, n)
+    full = (1 << (1 << low)) - 1
+    # Inside a block, index bit q < low is set in runs of 2^q bits every
+    # 2^(q+1); full // (2^(2^(q+1)) - 1) repeats a one every period.
+    runs = [
+        full // ((1 << (2 << q)) - 1) * (((1 << (1 << q)) - 1) << (1 << q))
+        for q in range(low)
+    ]
+    for base in range(0, 1 << n, 1 << low):
+        masks = {}
+        for k, name in enumerate(names):
+            q = n - 1 - k
+            masks[name] = runs[q] if q < low else full * (base >> q & 1)
+        yield base, full, masks
+
+
+def _mask(concept: Concept, masks: dict[str, int], full: int) -> int:
+    """The assignments of a block where a role-free concept holds."""
+    if isinstance(concept, Name):
+        try:
+            return masks[concept.name]
+        except KeyError:
+            raise UnknownNameError(f"unknown concept name {concept.name!r}") from None
+    if isinstance(concept, Not):
+        return full ^ _mask(concept.arg, masks, full)
+    if isinstance(concept, And):
+        return _mask(concept.left, masks, full) & _mask(concept.right, masks, full)
+    if isinstance(concept, Or):
+        return _mask(concept.left, masks, full) | _mask(concept.right, masks, full)
+    if isinstance(concept, Top):
+        return full
+    if isinstance(concept, Bottom):
+        return 0
+    raise FragmentError(f"concept {concept} is not a role-free boolean concept")
+
+
+def _kept(kb: WeightedKB, masks: dict[str, int], full: int) -> int:
+    """The assignments of a block that satisfy every strict inclusion."""
+    kept = full
+    for inc in kb.strict:
+        kept &= (full ^ _mask(inc.left, masks, full)) | _mask(inc.right, masks, full)
+    return kept
+
+
 def consistent_valuations(kb: WeightedKB, names: list[str]) -> list[str]:
     """Every truth assignment over the names satisfying the strict TBox.
 
     Assignments are named ``"w" + bits`` with bit k for ``names[k]`` and
     come in counting order, the first name most significant.
     """
-    every = _assignment_interp(
-        names, ["w" + "".join(bits) for bits in itertools.product("01", repeat=len(names))]
-    )
-    checks = [
-        (degrees(every, ZADEH, inc.left), degrees(every, ZADEH, inc.right))
-        for inc in kb.strict
-    ]
-    return [
-        x
-        for i, x in enumerate(every.domain)
-        if all(left[i] <= right[i] for left, right in checks)
-    ]
+    top = 1 << len(names)
+    out = []
+    for base, full, masks in _blocks(names):
+        kept = _kept(kb, masks, full)
+        while kept:
+            low = kept & -kept
+            kept ^= low
+            # The leading 1 pads the bits to len(names) digits.
+            out.append("w" + format(top | base + low.bit_length() - 1, "b")[1:])
+    return out
 
 
 def _assignment_interp(names: list[str], elements: list[str]) -> FuzzyInterpretation:
@@ -526,16 +600,66 @@ def canonical_crisp_interpretation(kb: WeightedKB) -> FuzzyInterpretation:
     return _assignment_interp(names, elements)
 
 
-def entails_rolefree(kb: WeightedKB, subject: Concept, consequent: Concept) -> bool:
-    """Decide ``T(subject) [= consequent`` over all models of the KB.
+def counter_model(
+    kb: WeightedKB, subject: Concept, consequent: Concept
+) -> dict[str, bool] | None:
+    """The first typical instance of the subject outside the consequent.
 
-    Sound and complete for role-free boolean KBs and queries: the verdict
-    on the canonical model settles the question, vacuously true when the
-    strict TBox admits no assignment at all.
+    Returns the lowest such truth assignment of the canonical model in
+    counting order (see :func:`consistent_valuations`), or None when
+    ``T(subject) [= consequent`` is entailed.
+
+    One pass visits the assignments block by block.  A block's
+    strict-TBox-consistent instances of the subject are split into cells
+    of equal weight vector, summed left to right in block order like
+    :func:`fuzzy_weight`; cells of equal vector merge, and one map keeps
+    each vector's lowest instance outside the consequent.  The skyline of
+    those vectors is the typical set.  Memory grows with the number of
+    distinct vectors, not with the 2^n assignments.
     """
     names = _check_rolefree(kb, subject, consequent)
-    elements = consistent_valuations(kb, names)
-    if not elements:
-        return True
-    model = build_preferences(kb, _assignment_interp(names, elements))
-    return check_typicality_axiom(model, StrictInclusion(Typ(subject), consequent))
+    vectors: dict[tuple[float, ...], int | None] = {}
+    for base, full, masks in _blocks(names):
+        cells = {(): _kept(kb, masks, full) & _mask(subject, masks, full)}
+        for c in kb.distinguished:
+            # The last slot is c's running sum; -inf first takes the
+            # assignments outside c, and stays -inf.
+            cells = {(*vec, 0.0): cell for vec, cell in cells.items()}
+            steps = [(full ^ masks[c], NEG_INF)]
+            steps += [(_mask(d.consequent, masks, full), d.weight) for d in kb.defaults_for(c)]
+            for sat, w in steps:
+                split: dict[tuple[float, ...], int] = {}
+                get = split.get
+                for vec, cell in cells.items():
+                    if vec[-1] != NEG_INF and cell & sat:
+                        key = (*vec[:-1], vec[-1] + w)
+                        split[key] = get(key, 0) | cell & sat
+                        cell &= ~sat
+                    if cell:
+                        split[vec] = get(vec, 0) | cell
+                cells = split
+        outside = full ^ _mask(consequent, masks, full)
+        for vec, cell in cells.items():
+            if cell and vectors.get(vec) is None:
+                bad = cell & outside
+                vectors[vec] = base + (bad & -bad).bit_length() - 1 if bad else None
+    witnesses = [vectors[v] for v in _skyline(vectors) if vectors[v] is not None]
+    if not witnesses:
+        return None
+    first, n = min(witnesses), len(names)
+    return {name: bool(first >> (n - 1 - k) & 1) for k, name in enumerate(names)}
+
+
+def entails_rolefree(kb: WeightedKB, subject: Concept, consequent: Concept) -> bool:
+    """Decide ``T(subject) [= consequent`` in the KB's canonical model.
+
+    The canonical model has one element per truth assignment that the
+    strict TBox allows (Giordano & Theseider Dupré, TPLP 2020); the query
+    holds when every globally typical instance of the subject there
+    satisfies the consequent, vacuously so when the strict TBox admits no
+    assignment.  This is not truth in every model of the KB:
+    ``def(Bird): T(Bird) [= Fly @ 2`` entails ``T(Bird) [= Fly``, yet a
+    model whose only element is a non-flying bird violates it.  Role-free
+    boolean KBs and queries only.
+    """
+    return counter_model(kb, subject, consequent) is None

@@ -100,19 +100,29 @@ def random_rolefree_kb(
     max_defaults: int = 6,
     weight_span: float = 5.0,
     with_strict: bool = True,
+    min_names: int = 2,
+    strict_count: tuple[int, int] | None = None,
 ) -> WeightedKB:
-    pool = ["A", "B", "C", "D", "E", "F"][: rng.randint(2, max_names)]
+    """A seeded role-free KB over the first 2 to 10 names of A-J.
+
+    Without ``strict_count`` half of the KBs get one strict inclusion;
+    with it, their number is drawn from that inclusive range.
+    """
+    pool = list("ABCDEFGHIJ")[: rng.randint(min_names, max_names)]
     distinguished = tuple(
         rng.sample(pool, rng.randint(1, min(2, len(pool))))
     )
-    strict: list[StrictInclusion] = []
-    if with_strict and rng.random() < 0.5:
-        strict.append(
-            StrictInclusion(
-                random_boolean_concept(rng, pool, 1),
-                random_boolean_concept(rng, pool, 1),
-            )
+    if strict_count is None:
+        n_strict = 1 if with_strict and rng.random() < 0.5 else 0
+    else:
+        n_strict = rng.randint(*strict_count)
+    strict = [
+        StrictInclusion(
+            random_boolean_concept(rng, pool, 1),
+            random_boolean_concept(rng, pool, 1),
         )
+        for _ in range(n_strict)
+    ]
     blocks: dict[str, tuple[DefeasibleInclusion, ...]] = {}
     for subject in distinguished:
         rows = []

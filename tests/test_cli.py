@@ -195,6 +195,22 @@ def test_entail_reflexivity(capsys, tmp_path):
     assert json.loads(out)["entailed"] is True
 
 
+def test_entail_prints_a_counter_model(capsys, tmp_path):
+    path = tmp_path / "birds.wkb"
+    path.write_text(
+        "distinguished: Bird\ndef(Bird): T(Bird) [= Fly @ 2\n", encoding="utf-8"
+    )
+    code, out, _ = run(capsys, "entail", "--kb", str(path), "--query", "T(Bird) [= not Fly")
+    assert code == 0
+    assert json.loads(out) == {
+        "query": "T(Bird) [= not Fly",
+        "entailed": False,
+        "counter_model": {"Bird": True, "Fly": True},
+    }
+    code, out, _ = run(capsys, "entail", "--kb", str(path), "--query", "T(Bird) [= Fly")
+    assert json.loads(out) == {"query": "T(Bird) [= Fly", "entailed": True}
+
+
 def test_entail_fragment_error_exit_2(capsys, kb_file):
     code, _, err = run(
         capsys, "entail", "--kb", kb_file, "--query", "T(Employee) [= Adult"
@@ -343,6 +359,28 @@ def test_prob_cc_names_are_checked_against_the_interpretation(capsys, interp_fil
     )
     assert code == 2
     assert json.loads(err)["error"] == "line 1, col 10: unknown concept name 'Martian'"
+
+
+def test_prob_queries_take_only_cc_and_passert_lines(capsys, interp_file, tmp_path):
+    queries = tmp_path / "q.wkb"
+    queries.write_text(
+        "cc: (Young | Employee)[0.5,0.5]\npassert: P(Young(bob))[1]\n", encoding="utf-8"
+    )
+    code, out, _ = run(capsys, "prob", "--interp", interp_file, "--queries", str(queries))
+    assert code == 0
+    assert [r["holds"] for r in json.loads(out)["results"]] == [True, True]
+    for line, message in (
+        ("strict: Young [= Employee", "'strict' statements"),
+        ("  assert: Young(tom)", "'assert' statements"),
+        ("def(Young): T(Young) [= Adult @ 1", "'def' statements"),
+    ):
+        queries.write_text(f"cc: (Young | Employee)[0,1]\n{line}\n", encoding="utf-8")
+        code, _, err = run(capsys, "prob", "--interp", interp_file, "--queries", str(queries))
+        assert code == 2
+        col = len(line) - len(line.lstrip()) + 1
+        assert json.loads(err)["error"] == (
+            f"line 2, col {col}: {message} are not allowed here; expected cc, passert"
+        )
 
 
 def test_prob_requires_a_query(capsys, interp_file):

@@ -1,5 +1,10 @@
 import itertools
 import random
+import resource
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -16,13 +21,16 @@ from prefnet import (
     Not,
     RoleAssertion,
     StrictInclusion,
+    Typ,
     WeightedKB,
     ZADEH,
     build_preferences,
     canonical_crisp_interpretation,
     check_typicality_axiom,
     coherence_report,
+    concept_names_in,
     consistent_valuations,
+    counter_model,
     crisp_interpretation,
     crisp_weight,
     entails_rolefree,
@@ -35,7 +43,7 @@ from prefnet import (
     typicality_global,
     typicality_induced,
 )
-from prefnet import preferences
+from prefnet import ENUMERATION_LIMIT, preferences
 from genutil import (
     bool_eval,
     duplicate_element,
@@ -541,57 +549,177 @@ def test_entailment_matches_bruteforce_oracle():
     verdicts = set()
     for _ in range(500):
         kb = random_rolefree_kb(rng, max_names=6, max_defaults=4)
-        pool = sorted(
-            set(kb.distinguished)
-            | {
-                n
-                for block in kb.defeasible.values()
-                for d in block
-                for n in _names_of(d.consequent)
-            }
-            | {n for s in kb.strict for n in _names_of(s.left) | _names_of(s.right)}
-        )
+        pool = _names_of_kb(kb)
         subject = random_boolean_concept(rng, pool, 2)
         consequent = random_boolean_concept(rng, pool, 2)
-        got = entails_rolefree(kb, subject, consequent)
-        expected = _oracle_entails(kb, subject, consequent, pool)
-        assert got == expected, f"{subject} |~ {consequent} on {kb}"
-        verdicts.add(got)
+        entailed = not _check_counter_model(kb, subject, consequent, pool)
+        assert _per_element_entails(kb, subject, consequent, pool) == entailed
+        verdicts.add(entailed)
     assert verdicts == {True, False}
 
 
-def _names_of(concept):
-    from prefnet import concept_names_in
+def test_entailment_matches_oracle_across_blocks(monkeypatch):
+    # KBs of 7-10 names with 2-4 strict inclusions, and one KB whose
+    # weights 2^k give every instance of A its own weight vector, decided
+    # with blocks of 1, 2, 8 and 4096 assignments.
+    rng = random.Random(1234)
+    cases = []
+    for _ in range(60):
+        kb = random_rolefree_kb(
+            rng, max_names=10, max_defaults=4, min_names=7, strict_count=(2, 4)
+        )
+        pool = _names_of_kb(kb)
+        cases.append(
+            (kb, random_boolean_concept(rng, pool, 2), random_boolean_concept(rng, pool, 2))
+        )
+    names = list("ABCDEFGHI")
+    distinct = WeightedKB(
+        distinguished=("A", "B"),
+        defeasible={
+            "A": tuple(
+                DefeasibleInclusion("A", Name(n), (-1) ** k * 2.0**k)
+                for k, n in enumerate(names[1:])
+            ),
+            "B": (DefeasibleInclusion("B", Name("C"), 1.0),),
+        },
+    )
+    for subject in (Name("A"), parse_concept("A and not C"), parse_concept("A or D")):
+        for consequent in (Name("C"), Name("D"), parse_concept("E or not F")):
+            cases.append((distinct, subject, consequent))
+    rows = [v for v in _all_valuations(names) if v["A"]]
+    vectors = {
+        tuple(
+            sum(d.weight for d in distinct.defaults_for(c) if v[d.consequent.name])
+            if v[c]
+            else NEG_INF
+            for c in distinct.distinguished
+        )
+        for v in rows
+    }
+    assert len(vectors) == len(rows)
+    verdicts = set()
+    for bits in (0, 1, 3, 12):
+        monkeypatch.setattr(preferences, "_BLOCK_BITS", bits)
+        for kb, subject, consequent in cases:
+            verdicts.add(_check_counter_model(kb, subject, consequent, _names_of_kb(kb)))
+    assert verdicts == {True, False}
 
-    return concept_names_in(concept)
+
+def test_entailment_is_in_the_canonical_model_not_every_model():
+    kb = parse_kb("distinguished: Bird\ndef(Bird): T(Bird) [= Fly @ 2")
+    query = parse_query_axiom("T(Bird) [= Fly")
+    assert entails_rolefree(kb, Name("Bird"), Name("Fly"))
+    # A model with one non-flying bird: that bird is typical, so the
+    # entailed axiom fails there.
+    lone = crisp_interpretation(["x"], {"Bird": {"x"}, "Fly": set()})
+    assert not check_typicality_axiom(build_preferences(kb, lone), query)
 
 
-def _oracle_entails(kb, subject, consequent, names):
+def test_enumeration_limit_bounds_time_and_memory():
+    # Both 20-name KB shapes: one default over every name (few weight
+    # vectors), and 19 defaults of weight 2^k (2^19 distinct vectors).
+    assert ENUMERATION_LIMIT == 20
+    names = [f"N{i:02d}" for i in range(20)]
+    one_block = (
+        f"distinguished: N00\nstrict: N01 [= N02\n"
+        f"def(N00): T(N00) [= {' and '.join(names[1:])} @ 1\n"
+    )
+    distinct = "distinguished: N00\n" + "".join(
+        f"def(N00): T(N00) [= {n} @ {2**k}\n" for k, n in enumerate(names[1:], 1)
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for text, query, expected in (
+        (one_block, "T(N00) [= N03", "True"),
+        (distinct, "T(N00) [= not N19", "False"),
+    ):
+        script = textwrap.dedent(
+            f"""
+            import sys
+            sys.path.insert(0, {src!r})
+            from prefnet import entails_rolefree, parse_kb, parse_query_axiom
+            q = parse_query_axiom({query!r})
+            print(entails_rolefree(parse_kb({text!r}), q.left.arg, q.right))
+            """
+        )
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == expected
+        cpu_s = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+        assert cpu_s < 10.0
+        assert after.ru_maxrss / 1024 < 250.0
+
+
+def _names_of_kb(kb):
+    return sorted(
+        set(kb.distinguished) | {n for c in kb.all_concepts() for n in concept_names_in(c)}
+    )
+
+
+def _check_counter_model(kb, subject, consequent, names):
+    """Compare counter_model and entails_rolefree with the oracle; True
+    when a counter-model exists."""
+    typical = _oracle_typical(kb, subject, names)
+    witness = counter_model(kb, subject, consequent)
+    assert entails_rolefree(kb, subject, consequent) == (witness is None)
+    misses = [v for v in typical if not bool_eval(consequent, v)]
+    if witness is None:
+        assert misses == [], f"{subject} |~ {consequent} on {kb}"
+        return False
+    assert all(not bool_eval(s.left, witness) or bool_eval(s.right, witness) for s in kb.strict)
+    assert bool_eval(subject, witness)
+    assert not bool_eval(consequent, witness)
+    assert witness in typical
+    # The lowest one in counting order, the first name most significant.
+    assert witness == misses[0]
+    return True
+
+
+def _oracle_typical(kb, subject, names):
+    """Typical instances of the subject among the valuations that satisfy
+    the strict TBox, in counting order; the Pareto scan runs over one
+    instance per distinct weight vector."""
     rows = [
         v
         for v in _all_valuations(names)
-        if all(
-            not bool_eval(s.left, v) or bool_eval(s.right, v) for s in kb.strict
-        )
+        if bool_eval(subject, v)
+        and all(not bool_eval(s.left, v) or bool_eval(s.right, v) for s in kb.strict)
     ]
-    if not rows:
+    vectors = [
+        tuple(
+            sum(d.weight for d in kb.defaults_for(ci) if bool_eval(d.consequent, v))
+            if v.get(ci, False)
+            else NEG_INF
+            for ci in kb.distinguished
+        )
+        for v in rows
+    ]
+    first = {}
+    for idx, vec in enumerate(vectors):
+        first.setdefault(vec, idx)
+    weights = {
+        ci: {idx: vec[k] for vec, idx in first.items()}
+        for k, ci in enumerate(kb.distinguished)
+    }
+    minimal = {vectors[idx] for idx in oracle_minimal(list(first.values()), weights)}
+    return [v for v, vec in zip(rows, vectors) if vec in minimal]
+
+
+def _per_element_entails(kb, subject, consequent, names):
+    """Typicality on the canonical model with one element per assignment."""
+    elements = consistent_valuations(kb, names)
+    if not elements:
         return True
-    weights = {}
-    for ci in kb.distinguished:
-        row = {}
-        for idx, v in enumerate(rows):
-            if not v.get(ci, False):
-                row[idx] = NEG_INF
-            else:
-                row[idx] = sum(
-                    d.weight
-                    for d in kb.defaults_for(ci)
-                    if bool_eval(d.consequent, v)
-                )
-        weights[ci] = row
-    members = [i for i, v in enumerate(rows) if bool_eval(subject, v)]
-    minimal = oracle_minimal(members, weights)
-    return all(bool_eval(consequent, rows[i]) for i in minimal)
+    interp = crisp_interpretation(
+        elements,
+        {n: {x for x in elements if x[k + 1] == "1"} for k, n in enumerate(names)},
+    )
+    return check_typicality_axiom(
+        build_preferences(kb, interp), StrictInclusion(Typ(subject), consequent)
+    )
 
 
 def _all_valuations(names):
@@ -609,16 +737,7 @@ def test_order_properties_random():
     rng = random.Random(17)
     for _ in range(60):
         kb = random_rolefree_kb(rng, max_names=4, max_defaults=5)
-        names = sorted(
-            set(kb.distinguished)
-            | {
-                n
-                for block in kb.defeasible.values()
-                for d in block
-                for n in _names_of(d.consequent)
-            }
-            | {n for s in kb.strict for n in _names_of(s.left) | _names_of(s.right)}
-        )
+        names = _names_of_kb(kb)
         interp = random_crisp_interp(rng, names, size=6)
         model = build_preferences(kb, interp)
         domain = interp.domain
@@ -648,16 +767,7 @@ def test_duplicate_element_stability():
     rng = random.Random(31)
     for _ in range(30):
         kb = random_rolefree_kb(rng, max_names=3, max_defaults=4)
-        names = sorted(
-            set(kb.distinguished)
-            | {
-                n
-                for block in kb.defeasible.values()
-                for d in block
-                for n in _names_of(d.consequent)
-            }
-            | {n for s in kb.strict for n in _names_of(s.left) | _names_of(s.right)}
-        )
+        names = _names_of_kb(kb)
         interp = random_crisp_interp(rng, names, size=4)
         source = interp.domain[0]
         bigger = duplicate_element(interp, source, "clone")
@@ -678,15 +788,7 @@ def test_typicality_invariant_under_weight_scaling():
     rng = random.Random(41)
     for _ in range(20):
         kb = random_rolefree_kb(rng, max_names=3, max_defaults=4, with_strict=False)
-        names = sorted(
-            set(kb.distinguished)
-            | {
-                n
-                for block in kb.defeasible.values()
-                for d in block
-                for n in _names_of(d.consequent)
-            }
-        )
+        names = _names_of_kb(kb)
         interp = random_crisp_interp(rng, names, size=5)
         scaled_blocks = {
             ci: tuple(
