@@ -18,9 +18,13 @@ Operator binding, loosest to tightest: ``or``, ``and``, ``not``, then the
 quantifier prefixes; parentheses override.  ``[=`` writes subsumption in
 axiom strings, ``@`` attaches a weight, ``>= <= > <`` attach degree
 bounds, and ``(C | D)[l,u]`` and ``P(C(a))[p]`` write probabilistic
-constraints.  Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``; the words ``and``,
-``or``, ``not``, ``exists``, ``forall``, ``Top``, ``Bottom``, and ``T`` are
-reserved.
+constraints.
+
+One identifier rule covers every position that names something: concept
+names, roles, nominals, both assertion arguments, ``def`` subjects and the
+``distinguished:`` list of a ``.wkb`` file.  An identifier matches
+``[A-Za-z_][A-Za-z0-9_]*`` and is not one of the reserved words ``and``,
+``or``, ``not``, ``exists``, ``forall``, ``Top``, ``Bottom`` and ``T``.
 
 Parsing is total: any input yields either a tree or a :class:`ParseError`
 carrying a line and column, never an unpositioned crash.  The serializer
@@ -68,7 +72,6 @@ __all__ = [
     "walk",
     "concept_names_in",
     "role_names_in",
-    "individual_names_in",
     "is_el_concept",
     "is_rolefree_concept",
     "contains_typ",
@@ -171,10 +174,6 @@ def concept_names_in(concept: Concept) -> set[str]:
 
 def role_names_in(concept: Concept) -> set[str]:
     return {n.role for n in walk(concept) if isinstance(n, (Exists, Forall))}
-
-
-def individual_names_in(concept: Concept) -> set[str]:
-    return {n.individual for n in walk(concept) if isinstance(n, Nominal)}
 
 
 def is_el_concept(concept: Concept) -> bool:
@@ -329,71 +328,49 @@ class _Token:
     col: int
 
 
+# One alternative per token kind, tried in this order at each position.
+# NEWLINE and SPACE only move the position; BAD is any other character.
+_TOKEN_RE = re.compile(
+    "|".join(
+        f"(?P<{kind}>{pattern})"
+        for kind, pattern in (
+            ("NUMBER", _NUMBER_RE.pattern),
+            ("IDENT", _IDENT_RE.pattern),
+            ("SUBSUMES", r"\[="),
+            ("THETA", r"[<>]=?"),
+            ("LPAREN", r"\("),
+            ("RPAREN", r"\)"),
+            ("LBRACE", r"\{"),
+            ("RBRACE", r"\}"),
+            ("LBRACKET", r"\["),
+            ("RBRACKET", r"\]"),
+            ("COMMA", ","),
+            ("DOT", r"\."),
+            ("PIPE", r"\|"),
+            ("AT", "@"),
+            ("NEWLINE", r"\n"),
+            ("SPACE", r"[ \t\r]+"),
+            ("BAD", "."),
+        )
+    )
+)
+
+
 def _tokenize(text: str, line: int = 1, col_offset: int = 0) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    cur_line = line
-    cur_col = col_offset + 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            cur_line += 1
-            cur_col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            cur_col += 1
-            continue
-        start_line, start_col = cur_line, cur_col
-        m = _NUMBER_RE.match(text, i)
-        if m is not None:
-            tokens.append(_Token("NUMBER", m.group(), start_line, start_col))
-            cur_col += m.end() - i
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m is not None:
-            tokens.append(_Token("IDENT", m.group(), start_line, start_col))
-            cur_col += m.end() - i
-            i = m.end()
-            continue
-        two = text[i : i + 2]
-        if two == "[=":
-            tokens.append(_Token("SUBSUMES", two, start_line, start_col))
-            i += 2
-            cur_col += 2
-            continue
-        if two in (">=", "<="):
-            tokens.append(_Token("THETA", two, start_line, start_col))
-            i += 2
-            cur_col += 2
-            continue
-        if ch in "><":
-            tokens.append(_Token("THETA", ch, start_line, start_col))
-            i += 1
-            cur_col += 1
-            continue
-        simple = {
-            "(": "LPAREN",
-            ")": "RPAREN",
-            "{": "LBRACE",
-            "}": "RBRACE",
-            "[": "LBRACKET",
-            "]": "RBRACKET",
-            ",": "COMMA",
-            ".": "DOT",
-            "|": "PIPE",
-            "@": "AT",
-        }
-        if ch in simple:
-            tokens.append(_Token(simple[ch], ch, start_line, start_col))
-            i += 1
-            cur_col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(_Token("EOF", "", cur_line, cur_col))
+    line_start = -col_offset  # index of the current line's column 1
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
+            line += 1
+            line_start = m.end()
+        elif kind == "BAD":
+            raise ParseError(
+                f"unexpected character {m.group()!r}", line, m.start() - line_start + 1
+            )
+        elif kind != "SPACE":
+            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -440,20 +417,30 @@ class _Parser:
         if tok.kind != "EOF":
             raise ParseError(f"unexpected trailing input {tok.value!r}", tok.line, tok.col)
 
-    # -- namespace handling
+    # -- identifiers
 
-    def _note(self, tok: _Token, want: str) -> None:
-        """Check the identifier against the signature's ``want`` namespace."""
+    def name(self, want: str) -> _Token:
+        """The next identifier, naming a ``want``: concept, role or individual.
+
+        Every identifier position goes through here: a reserved word is
+        rejected, and with a signature the name must belong to ``want``.
+        """
+        a_want = f"{'an' if want[0] in 'aeiou' else 'a'} {want}"
+        tok = self.expect("IDENT", f"{a_want} name")
+        if tok.value in RESERVED:
+            raise ParseError(
+                f"reserved word {tok.value!r} cannot name {a_want}", tok.line, tok.col
+            )
         if self.sig is None:
-            return
+            return tok
         kind = self.sig.kind_of(tok.value)
-        if kind == want:
-            return
         if kind is None:
             raise ParseError(f"unknown {want} name {tok.value!r}", tok.line, tok.col)
-        raise ParseError(
-            f"{tok.value!r} is a {kind} name; expected a {want} name", tok.line, tok.col
-        )
+        if kind != want:
+            raise ParseError(
+                f"{tok.value!r} is a {kind} name; expected a {want} name", tok.line, tok.col
+            )
+        return tok
 
     # -- grammar
 
@@ -482,18 +469,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "IDENT" and tok.value in ("exists", "forall"):
             self.next()
-            role_tok = self.expect("IDENT", "a role name")
-            if role_tok.value in RESERVED:
-                raise ParseError(
-                    f"reserved word {role_tok.value!r} cannot name a role",
-                    role_tok.line,
-                    role_tok.col,
-                )
-            self._note(role_tok, "role")
+            role = self.name("role").value
             self.expect("DOT", "'.'")
-            arg = self.parse_not()
             cls = Exists if tok.value == "exists" else Forall
-            return cls(role_tok.value, arg)
+            return cls(role, self.parse_not())
         return self.parse_atom()
 
     def parse_atom(self) -> Concept:
@@ -505,16 +484,9 @@ class _Parser:
             return node
         if tok.kind == "LBRACE":
             self.next()
-            ind = self.expect("IDENT", "an individual name")
-            if ind.value in RESERVED:
-                raise ParseError(
-                    f"reserved word {ind.value!r} cannot name an individual",
-                    ind.line,
-                    ind.col,
-                )
-            self._note(ind, "individual")
+            individual = self.name("individual").value
             self.expect("RBRACE", "'}'")
-            return Nominal(ind.value)
+            return Nominal(individual)
         if tok.kind == "IDENT":
             if tok.value == "Top":
                 self.next()
@@ -534,13 +506,7 @@ class _Parser:
                 if contains_typ(arg):
                     raise ParseError("nested typicality operator", tok.line, tok.col)
                 return Typ(arg)
-            if tok.value in RESERVED:
-                raise ParseError(
-                    f"unexpected reserved word {tok.value!r}", tok.line, tok.col
-                )
-            self.next()
-            self._note(tok, "concept")
-            return Name(tok.value)
+            return Name(self.name("concept").value)
         found = tok.value or "end of input"
         raise ParseError(f"expected a concept, found {found!r}", tok.line, tok.col)
 
@@ -604,10 +570,10 @@ class _Parser:
             raise ParseError(
                 "typicality operator is not allowed in assertions", tok.line, tok.col
             )
-        args = [self._individual()]
+        args = [self.name("individual").value]
         if self.peek().kind == "COMMA":
             self.next()
-            args.append(self._individual())
+            args.append(self.name("individual").value)
         self.expect("RPAREN", "')'")
         if len(args) == 1:
             return Assertion(concept, args[0])
@@ -617,19 +583,13 @@ class _Parser:
             )
         return RoleAssertion(concept.name, args[0], args[1])
 
-    def _individual(self) -> str:
-        tok = self.expect("IDENT", "an individual name")
-        self._note(tok, "individual")
-        return tok.value
-
     def _defeasible(self) -> DefeasibleInclusion:
         """``T(A) [= D @ w``."""
         t_tok = self.expect("IDENT", "'T'")
         if t_tok.value != "T":
             raise ParseError("expected 'T(...)'", t_tok.line, t_tok.col)
         self.expect("LPAREN", "'('")
-        subject = self.expect("IDENT", "a concept name")
-        self._note(subject, "concept")
+        subject = self.name("concept").value
         self.expect("RPAREN", "')'")
         self.expect("SUBSUMES", "'[='")
         consequent = self.parse_or()
@@ -637,7 +597,7 @@ class _Parser:
         weight = float(self.expect("NUMBER", "a weight").value)
         if not math.isfinite(weight):
             raise ParseError("weight must be finite", at_tok.line, at_tok.col)
-        return DefeasibleInclusion(subject.value, consequent, weight)
+        return DefeasibleInclusion(subject, consequent, weight)
 
     def _conditional(self) -> ConditionalConstraint:
         """``(C | D)[l,u]``."""

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
@@ -278,7 +279,10 @@ def _degrees(
     if isinstance(concept, Bottom):
         return (0.0,) * n
     if isinstance(concept, Name):
-        return tuple(interp.concept_degree(concept.name, x) for x in interp.domain)
+        row = interp.concepts.get(concept.name)
+        if row is None:
+            raise UnknownNameError(f"unknown concept name {concept.name!r}")
+        return tuple(map(row.get, interp.domain, repeat(0.0)))
     if isinstance(concept, Nominal):
         target = interp.element_of(concept.individual)
         return tuple(1.0 if x == target else 0.0 for x in interp.domain)

@@ -49,6 +49,7 @@ from .concepts import (
     RoleAssertion,
     Signature,
     StrictInclusion,
+    _IDENT_RE,
     _Parser,
     _Token,
     _tokenize,
@@ -166,7 +167,9 @@ class Diagnostic:
 # ---------------------------------------------------------------------------
 # Parsing and serialization
 
-_HEAD_RE = re.compile(r"^\s*(?:def\s*\(\s*([A-Za-z_]\w*)\s*\)|([A-Za-z_][A-Za-z0-9_-]*))\s*:")
+_HEAD_RE = re.compile(
+    rf"^\s*(?:def\s*\(\s*({_IDENT_RE.pattern})\s*\)|([A-Za-z_][A-Za-z0-9_-]*))\s*:"
+)
 
 # Statement keyword -> the axiom forms its body may take; ``def(<C>)``
 # takes a defeasible inclusion and ``distinguished`` a list of names.
@@ -223,7 +226,7 @@ def parse_kb(text: str, keywords: Collection[str] | None = None) -> WeightedKB:
                 raise ParseError("duplicate 'distinguished:' declaration", idx, 1)
             distinguished = []
             while True:
-                tok = parser.expect("IDENT", "a concept name")
+                tok = parser.name("concept")
                 if tok.value in distinguished:
                     raise ParseError(
                         f"duplicate distinguished concept {tok.value!r}", tok.line, tok.col

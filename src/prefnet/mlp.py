@@ -250,6 +250,12 @@ class StimulusSet:
         for sid in self.ids:
             if sid not in self.values:
                 raise ValueError(f"stimulus {sid!r} has no value row")
+            for inp, value in self.values[sid].items():
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"stimulus {sid!r} gives input {inp!r} the non-finite"
+                        f" value {value!r}"
+                    )
 
     def check_against(self, net: Network) -> None:
         for sid in self.ids:
@@ -306,22 +312,17 @@ def _field(unit: Unit, signals: dict[str, float]) -> float:
 # Evaluation
 
 
-def forward(
-    net: Network,
-    stimuli: StimulusSet,
-    *,
-    force_iterative: bool = False,
-) -> ActivityTable:
+def forward(net: Network, stimuli: StimulusSet) -> ActivityTable:
     """Evaluate the network on every stimulus.
 
-    Acyclic graphs get a single topological sweep.  Cyclic graphs (or
-    ``force_iterative``) run synchronous updates from zero until stationary
-    within ``EPS_CMP``, failing with :class:`NonConvergenceError` at the
-    iteration cap; the recorded fields are recomputed at the fixed point so
-    ``y = phi(u)`` holds exactly.
+    Acyclic graphs get a single topological sweep.  Cyclic graphs run
+    synchronous updates from zero until stationary within ``EPS_CMP``,
+    failing with :class:`NonConvergenceError` at the iteration cap; the
+    recorded fields are recomputed at the fixed point so ``y = phi(u)``
+    holds exactly.
     """
     stimuli.check_against(net)
-    order = None if force_iterative else net.topological_units()
+    order = net.topological_units()
     phi = {u.id: get_activation(u.activation).fn for u in net.units}
     activity: dict[str, dict[str, float]] = {}
     induced: dict[str, dict[str, float]] = {}

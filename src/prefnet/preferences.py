@@ -74,7 +74,7 @@ from .fuzzy import (
     compare,
     degrees,
 )
-from .kb import WeightedKB
+from .kb import _KEYWORD, WeightedKB
 
 __all__ = [
     "NEG_INF",
@@ -503,6 +503,11 @@ def _check_rolefree(kb: WeightedKB, *extra: Concept) -> list[str]:
         names |= concept_names_in(c)
     if kb.abox:
         raise FragmentError("entailment here requires an empty ABox")
+    if kb.extra:
+        raise FragmentError(
+            f"entailment here reads no '{_KEYWORD[type(kb.extra[0])]}:' statements;"
+            " remove them from the KB"
+        )
     ordered = sorted(names)
     if len(ordered) > ENUMERATION_LIMIT:
         raise EnumerationLimitError(

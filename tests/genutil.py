@@ -4,12 +4,14 @@ Oracles here deliberately avoid the library's own evaluation code paths:
 set_extension works on plain Python sets, bool_eval on dict valuations,
 oracle_crisp_weight/oracle_minimal redo the preference arithmetic from
 scratch, and oracle_eval_concept evaluates one element at a time by
-plain recursion, quantifiers scanning the whole domain.
+plain recursion, quantifiers scanning the whole domain.  oracle_tokenize
+is the character-by-character scanner the regex tokenizer replaced.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 from prefnet import (
     And,
@@ -27,6 +29,7 @@ from prefnet import (
     Nominal,
     Not,
     Or,
+    ParseError,
     StimulusSet,
     StrictInclusion,
     TOP,
@@ -36,6 +39,7 @@ from prefnet import (
     WeightedKB,
     crisp_interpretation,
 )
+from prefnet.concepts import _Token
 
 NEG_INF = float("-inf")
 
@@ -437,3 +441,79 @@ def oracle_minimal(
         for x in candidates
         if not any(dominates(y, x) for y in candidates if y != x)
     }
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer oracle
+
+_ORACLE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_ORACLE_NUMBER = re.compile(r"[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+_ORACLE_SIMPLE = {
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "{": "LBRACE",
+    "}": "RBRACE",
+    "[": "LBRACKET",
+    "]": "RBRACKET",
+    ",": "COMMA",
+    ".": "DOT",
+    "|": "PIPE",
+    "@": "AT",
+}
+
+
+def oracle_tokenize(text: str, line: int = 1, col_offset: int = 0) -> list[_Token]:
+    """The tokens of ``text``, scanned one character at a time."""
+    tokens: list[_Token] = []
+    i = 0
+    cur_line = line
+    cur_col = col_offset + 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            cur_line += 1
+            cur_col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            cur_col += 1
+            continue
+        start_line, start_col = cur_line, cur_col
+        m = _ORACLE_NUMBER.match(text, i)
+        if m is not None:
+            tokens.append(_Token("NUMBER", m.group(), start_line, start_col))
+            cur_col += m.end() - i
+            i = m.end()
+            continue
+        m = _ORACLE_IDENT.match(text, i)
+        if m is not None:
+            tokens.append(_Token("IDENT", m.group(), start_line, start_col))
+            cur_col += m.end() - i
+            i = m.end()
+            continue
+        two = text[i : i + 2]
+        if two == "[=":
+            tokens.append(_Token("SUBSUMES", two, start_line, start_col))
+            i += 2
+            cur_col += 2
+            continue
+        if two in (">=", "<="):
+            tokens.append(_Token("THETA", two, start_line, start_col))
+            i += 2
+            cur_col += 2
+            continue
+        if ch in "><":
+            tokens.append(_Token("THETA", ch, start_line, start_col))
+            i += 1
+            cur_col += 1
+            continue
+        if ch in _ORACLE_SIMPLE:
+            tokens.append(_Token(_ORACLE_SIMPLE[ch], ch, start_line, start_col))
+            i += 1
+            cur_col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
+    tokens.append(_Token("EOF", "", cur_line, cur_col))
+    return tokens

@@ -219,6 +219,17 @@ def test_entail_fragment_error_exit_2(capsys, kb_file):
     assert "role" in json.loads(err)["error"]
 
 
+def test_entail_rejects_statements_it_does_not_read(capsys, tmp_path):
+    path = tmp_path / "fuzzy.wkb"
+    path.write_text(
+        "distinguished: A\ndef(A): T(A) [= B @ 1\ncc: (C | A)[1,1]\n", encoding="utf-8"
+    )
+    code, out, err = run(capsys, "entail", "--kb", str(path), "--query", "T(A) [= B")
+    assert code == 2
+    assert out == ""
+    assert "'cc:'" in json.loads(err)["error"]
+
+
 def test_entail_requires_typicality_query(capsys, tmp_path):
     path = tmp_path / "ref.wkb"
     path.write_text("distinguished: A\ndef(A): T(A) [= B @ 1\n", encoding="utf-8")
@@ -291,6 +302,20 @@ def test_mlp_verify_ok(capsys, net_file, stim_file):
     assert blob["ok"] is True
     assert blob["weight_identity_ok"] is True
     assert blob["coherence"]["coherent"] is True
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_mlp_rejects_non_finite_stimulus_values(capsys, tmp_path, net_file, value):
+    blob = {"stimuli": [{"id": "s1", "values": {"i1": 0.5, "i2": value}}]}
+    path = tmp_path / "stim.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")  # NaN / Infinity literals
+    code, out, err = run(
+        capsys, "mlp", "forward", "--net", net_file, "--stimuli", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    message = json.loads(err)["error"]
+    assert "'s1'" in message and "'i2'" in message and "non-finite" in message
 
 
 def test_mlp_verify_step_precondition_exit_2(capsys, tmp_path, stim_file):

@@ -30,7 +30,8 @@ from prefnet import (
     parse_query_axiom,
     role_names_in,
 )
-from genutil import random_alc_concept
+from prefnet.concepts import _tokenize
+from genutil import oracle_tokenize, random_alc_concept
 
 
 def test_atoms():
@@ -91,6 +92,34 @@ def test_reserved_words_are_not_names():
     for bad in ["and", "or", "not", "exists", "forall"]:
         with pytest.raises(ParseError):
             parse_concept(bad)
+
+
+def _lex(tokenize, text, line, col_offset):
+    """The tokens, or the error's message and position."""
+    try:
+        return tokenize(text, line, col_offset)
+    except ParseError as e:
+        return (e.message, e.line, e.col)
+
+
+# Fragments that start, end or cut across every token kind, characters
+# no token takes (including a non-ASCII letter and the comment sign) and
+# every way the position moves.
+_LEX_ALPHABET = [
+    "A", "b_1", "_", "e", "E", "and", "T", "0", "7", "٣", "é", "+", "-", ".",
+    "1.5", "2e-3", "4E+", "[=", "[", "]", ">=", "<=", ">", "<", "=", "(",
+    ")", "{", "}", ",", "|", "@", " ", "  ", "\t", "\r", "\f", "\n", "#", "?",
+]
+
+
+def test_tokenizer_matches_character_scanner():
+    rng = random.Random(11)
+    for _ in range(20_000):
+        text = "".join(rng.choices(_LEX_ALPHABET, k=rng.randint(0, 12)))
+        line, col_offset = rng.randint(1, 5), rng.randint(0, 30)
+        assert _lex(_tokenize, text, line, col_offset) == _lex(
+            oracle_tokenize, text, line, col_offset
+        ), text
 
 
 def test_error_position_is_reported():

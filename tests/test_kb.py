@@ -110,6 +110,26 @@ def test_parse_error_carries_position():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "statement, word, col",
+    [
+        ("distinguished: T, and", "T", 16),
+        ("distinguished: A, and", "and", 19),
+        ("assert: A(and)", "and", 11),
+        ("assert: r(Top, b)", "Top", 11),
+        ("passert: P(A(not))[0.5]", "not", 14),
+        ("fuzzy-assert: A(Bottom) >= 0.5", "Bottom", 17),
+        ("def(or): T(or) [= B @ 1", "or", 12),
+    ],
+)
+def test_reserved_words_name_nothing(statement, word, col):
+    # One identifier rule covers every position a statement names
+    # something in, as it already did in concepts: {and} is no nominal.
+    with pytest.raises(ParseError, match=f"reserved word '{word}' cannot name") as exc:
+        parse_kb(f"# every position\n{statement}")
+    assert (exc.value.line, exc.value.col) == (2, col)
+
+
 def test_serialize_round_trip(employee_kb, employee_kb_text):
     text = serialize_kb(employee_kb)
     again = parse_kb(text)

@@ -535,6 +535,25 @@ def test_entailment_rejects_abox():
         entails_rolefree(kb, Name("A"), Name("B"))
 
 
+@pytest.mark.parametrize(
+    "line, keyword",
+    [
+        ("fuzzy: A [= not B >= 1", "fuzzy"),
+        ("fuzzy-assert: A(tom) >= 0.5", "fuzzy-assert"),
+        ("cc: (C | A)[1,1]", "cc"),
+        ("passert: P(A(tom))[0.5]", "passert"),
+    ],
+)
+def test_entailment_rejects_statements_it_does_not_read(line, keyword):
+    # Entailment reads only the strict TBox and the defaults, so a
+    # statement it would ignore is refused rather than silently dropped.
+    kb = parse_kb(f"distinguished: A\ndef(A): T(A) [= B @ 1\n{line}")
+    with pytest.raises(FragmentError, match=f"'{keyword}:'"):
+        entails_rolefree(kb, Name("A"), Name("B"))
+    with pytest.raises(FragmentError, match=f"'{keyword}:'"):
+        counter_model(kb, Name("A"), Not(Name("B")))
+
+
 def test_entailment_enumeration_guard():
     lines = ["distinguished: A"]
     body = " and ".join(f"N{i}" for i in range(21))
