@@ -8,6 +8,8 @@ fuzzy interpretations whose induced preferences it can verify for
 coherence, and assigns probabilities to fuzzy events.
 """
 
+from types import ModuleType as _ModuleType
+
 from .concepts import (
     And,
     Assertion,
@@ -45,6 +47,7 @@ from .errors import (
     EnumerationLimitError,
     EvaluationError,
     FragmentError,
+    InputError,
     NonConvergenceError,
     ParseError,
     PrefnetError,
@@ -68,13 +71,11 @@ from .fuzzy import (
     degrees,
     eval_concept,
     eval_inclusion,
-    get_family,
     interpretation_from_json,
     interpretation_to_json,
     load_interpretation,
 )
 from .kb import (
-    Diagnostic,
     WeightedKB,
     classify_fragment,
     load_kb,
@@ -85,12 +86,9 @@ from .kb import (
 )
 from .mlp import (
     ACTIVATIONS,
-    Activation,
-    ActivityTable,
     Network,
     StimulusSet,
     Unit,
-    VerificationReport,
     build_cwm_interp,
     build_fuzzy_interp,
     extract_kb,
@@ -108,11 +106,6 @@ from .mlp import (
 from .preferences import (
     ENUMERATION_LIMIT,
     NEG_INF,
-    CoherenceReport,
-    ConceptPreference,
-    GlobalPreference,
-    MultiprefModel,
-    Violation,
     build_preferences,
     canonical_crisp_interpretation,
     check_typicality_axiom,
@@ -143,123 +136,9 @@ from .probability import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ACTIVATIONS",
-    "Activation",
-    "ActivationPreconditionError",
-    "ActivityTable",
-    "And",
-    "Assertion",
-    "axiom_to_text",
-    "Bottom",
-    "BOTTOM",
-    "build_cwm_interp",
-    "build_fuzzy_interp",
-    "build_preferences",
-    "canonical_crisp_interpretation",
-    "check_axiom",
-    "check_conditional",
-    "check_typicality_axiom",
-    "classify_fragment",
-    "CoherenceReport",
-    "coherence_report",
-    "compare",
-    "Concept",
-    "concept_names_in",
-    "ConceptPreference",
-    "concept_to_text",
-    "ConditionalConstraint",
-    "conditional_prob",
-    "consistent_valuations",
-    "counter_model",
-    "crisp_interpretation",
-    "crisp_weight",
-    "DefeasibleInclusion",
-    "degrees",
-    "Diagnostic",
-    "Distribution",
-    "entails_rolefree",
-    "ENUMERATION_LIMIT",
-    "EnumerationLimitError",
-    "EPS_CMP",
-    "eval_concept",
-    "eval_inclusion",
-    "EvaluationError",
-    "Exists",
-    "extract_kb",
-    "FAMILIES",
-    "Forall",
-    "forward",
-    "FragmentError",
-    "fuzzy_cardinality",
-    "fuzzy_event_prob",
-    "fuzzy_weight",
-    "FuzzyAssertion",
-    "FuzzyInclusion",
-    "FuzzyInterpretation",
-    "FuzzyProbInterp",
-    "get_activation",
-    "get_family",
-    "GlobalPreference",
-    "GOEDEL",
-    "interpretation_from_json",
-    "interpretation_to_json",
-    "is_crisp_model",
-    "is_el_concept",
-    "is_fuzzy_model",
-    "is_rolefree_concept",
-    "load_distribution",
-    "load_interpretation",
-    "load_kb",
-    "load_network",
-    "load_stimuli",
-    "LogicFamily",
-    "LUKASIEWICZ",
-    "MultiprefModel",
-    "Name",
-    "NEG_INF",
-    "Network",
-    "network_from_json",
-    "network_prob_abox",
-    "network_to_json",
-    "Nominal",
-    "NonConvergenceError",
-    "nominal_conditional",
-    "Not",
-    "Or",
-    "ParseError",
-    "parse_concept",
-    "parse_kb",
-    "parse_query_axiom",
-    "PrefnetError",
-    "ProbAssertion",
-    "PRODUCT",
-    "relative_cardinality",
-    "role_names_in",
-    "RoleAssertion",
-    "save_kb",
-    "serialize_kb",
-    "Signature",
-    "StimulusSet",
-    "stimuli_from_json",
-    "stimuli_to_json",
-    "StrictInclusion",
-    "subsethood",
-    "Top",
-    "TOP",
-    "Typ",
-    "typicality_global",
-    "typicality_induced",
-    "UndefinedConditionalError",
-    "UndefinedSubsethoodError",
-    "Unit",
-    "UnknownNameError",
-    "UnsupportedAxiomError",
-    "validate_kb",
-    "verify_strict_coherence",
-    "verify_weak_coherence",
-    "VerificationReport",
-    "Violation",
-    "WeightedKB",
-    "ZADEH",
-]
+# The names imported above, without the submodules the imports bind.
+__all__ = sorted(
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

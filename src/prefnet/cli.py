@@ -3,8 +3,9 @@
 Subcommands: ``validate``, ``check``, ``entail``, ``mlp forward``,
 ``mlp model``, ``mlp extract-kb``, ``mlp verify``, ``prob``.  Output goes
 to stdout as JSON (``mlp extract-kb`` emits KB text) or to ``--out``.
-Exit codes: 0 clean, 1 diagnostics or a failed verification, 2 usage,
-IO, or precondition errors.
+Exit codes: 0 clean, 1 diagnostics or a failed verification, 2 usage
+errors, bad input (any :class:`PrefnetError`) or IO errors.  Any other
+exception is a bug and shows its traceback.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .fuzzy import (
     interpretation_to_json,
     load_interpretation,
 )
+from .jsonin import read_text
 from .kb import load_kb, parse_kb, serialize_kb, validate_kb
 from .mlp import (
     build_cwm_interp,
@@ -102,11 +104,7 @@ def _query_signature(sig: Signature, interp) -> Signature:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.kb).read_text(encoding="utf-8")
-    except OSError as e:
-        return _fail(str(e))
-    try:
-        kb = parse_kb(text)
+        kb = parse_kb(read_text(args.kb))
     except ParseError as e:
         _emit_json(
             {
@@ -383,10 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except json.JSONDecodeError as e:
-        # Before ValueError, which JSONDecodeError subclasses.
-        return _fail(f"invalid JSON: {e}")
-    except (PrefnetError, ValueError, KeyError, ArithmeticError, OSError) as e:
+    except (PrefnetError, OSError) as e:
         return _fail(str(e))
 
 

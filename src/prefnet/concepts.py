@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import ParseError
 
@@ -320,8 +320,7 @@ def is_identifier(text: str) -> bool:
     return bool(_IDENT_RE.fullmatch(text)) and text not in RESERVED
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     line: int

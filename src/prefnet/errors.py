@@ -7,6 +7,10 @@ class PrefnetError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(PrefnetError, ValueError):
+    """An input file or value is malformed or violates a constructor's check."""
+
+
 class ParseError(PrefnetError):
     """Syntax or name-resolution error with a source position."""
 

@@ -36,12 +36,12 @@ and are exact for ``>`` and ``<``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
+from . import jsonin
 from .concepts import (
     And,
     Assertion,
@@ -64,7 +64,7 @@ from .concepts import (
     Typ,
     contains_typ,
 )
-from .errors import EvaluationError, UnknownNameError, UnsupportedAxiomError
+from .errors import EvaluationError, InputError, UnknownNameError, UnsupportedAxiomError
 
 __all__ = [
     "EPS_CMP",
@@ -143,7 +143,7 @@ def get_family(tag: str) -> LogicFamily:
         return FAMILIES[tag.lower()]
     except KeyError:
         options = ", ".join(sorted(FAMILIES))
-        raise ValueError(f"unknown logic family {tag!r}; choose one of: {options}") from None
+        raise InputError(f"unknown logic family {tag!r}; choose one of: {options}") from None
 
 
 @dataclass
@@ -173,19 +173,19 @@ class FuzzyInterpretation:
     def __post_init__(self) -> None:
         self.domain = tuple(self.domain)
         if not self.domain:
-            raise ValueError("the domain must be nonempty")
+            raise InputError("the domain must be nonempty")
         self.index = {x: i for i, x in enumerate(self.domain)}
         if len(self.index) != len(self.domain):
-            raise ValueError("domain elements must be unique")
+            raise InputError("domain elements must be unique")
         crisp = True
         for cname, row in self.concepts.items():
             for elem, deg in row.items():
                 if elem not in self.index:
-                    raise ValueError(
+                    raise InputError(
                         f"concept {cname!r} mentions unknown element {elem!r}"
                     )
                 if not 0.0 <= deg <= 1.0:
-                    raise ValueError(
+                    raise InputError(
                         f"degree {deg!r} of {cname!r} at {elem!r} is outside [0,1]"
                     )
                 crisp = crisp and deg in (0.0, 1.0)
@@ -194,11 +194,11 @@ class FuzzyInterpretation:
             succ: list[list[tuple[int, float]]] = [[] for _ in self.domain]
             for (x, y), deg in row.items():
                 if x not in self.index or y not in self.index:
-                    raise ValueError(
+                    raise InputError(
                         f"role {rname!r} mentions an unknown element in ({x!r}, {y!r})"
                     )
                 if not 0.0 <= deg <= 1.0:
-                    raise ValueError(
+                    raise InputError(
                         f"degree {deg!r} of {rname!r} at ({x!r}, {y!r}) is outside [0,1]"
                     )
                 crisp = crisp and deg in (0.0, 1.0)
@@ -207,7 +207,7 @@ class FuzzyInterpretation:
         self.is_crisp = crisp
         for ind, elem in self.individuals.items():
             if elem not in self.index:
-                raise ValueError(
+                raise InputError(
                     f"individual {ind!r} maps to unknown element {elem!r}"
                 )
 
@@ -334,7 +334,7 @@ def compare(value: float, theta: str, bound: float) -> bool:
         return value > bound
     if theta == "<":
         return value < bound
-    raise ValueError(f"unknown comparison {theta!r}")
+    raise InputError(f"unknown comparison {theta!r}")
 
 
 def check_axiom(
@@ -400,29 +400,26 @@ def interpretation_to_json(interp: FuzzyInterpretation) -> dict:
     }
 
 
-def interpretation_from_json(obj: dict) -> FuzzyInterpretation:
-    if not isinstance(obj, dict) or "domain" not in obj:
-        raise ValueError("an interpretation object needs a 'domain' list")
-    roles: dict[str, dict[tuple[str, str], float]] = {}
-    for name, triples in (obj.get("roles") or {}).items():
-        row: dict[tuple[str, str], float] = {}
-        for triple in triples:
-            if len(triple) != 3:
-                raise ValueError(f"role {name!r}: each entry must be [x, y, degree]")
-            x, y, deg = triple
-            row[(str(x), str(y))] = float(deg)
-        roles[name] = row
+def interpretation_from_json(obj: object) -> FuzzyInterpretation:
+    doc = jsonin.obj(obj, (), ("domain",), ("concepts", "roles", "individuals"))
     concepts = {
-        str(name): {str(e): float(d) for e, d in (row or {}).items()}
-        for name, row in (obj.get("concepts") or {}).items()
+        name: jsonin.obj(row, ("concepts", name), of=jsonin.number)
+        for name, row in jsonin.obj(doc.get("concepts", {}), ("concepts",)).items()
+    }
+    triple = (jsonin.string, jsonin.string, jsonin.number)
+    roles = {
+        name: {(x, y): d for x, y, d in jsonin.array(rows, ("roles", name), triple)}
+        for name, rows in jsonin.obj(doc.get("roles", {}), ("roles",)).items()
     }
     return FuzzyInterpretation(
-        domain=tuple(str(d) for d in obj["domain"]),
+        domain=tuple(jsonin.array(doc["domain"], ("domain",), jsonin.string)),
         concepts=concepts,
         roles=roles,
-        individuals={str(k): str(v) for k, v in (obj.get("individuals") or {}).items()},
+        individuals=jsonin.obj(
+            doc.get("individuals", {}), ("individuals",), of=jsonin.string
+        ),
     )
 
 
 def load_interpretation(path: str | Path) -> FuzzyInterpretation:
-    return interpretation_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    return interpretation_from_json(jsonin.read_json(path))

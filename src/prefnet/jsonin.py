@@ -1,0 +1,128 @@
+"""Reading input files, with errors that name the offending JSON field.
+
+:func:`read_json` reads a file, and each check returns its value when it
+has the expected JSON type, else raises :class:`InputError` starting with
+the value's JSON path: ``units[3].in[5]: expected a list, got a number``.
+Paths are tuples of keys and indices, formatted only on failure.  Ranges,
+finiteness, uniqueness and known ids are left to the constructors.
+"""
+
+from __future__ import annotations
+
+import json
+from collections.abc import Callable, Collection
+from pathlib import Path
+
+from .errors import InputError
+
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "a number",
+          float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text ({e})") from None
+
+
+def read_json(path: str | Path) -> object:
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise InputError(f"invalid JSON: {e}") from None
+
+
+def where(path: tuple) -> str:
+    """``("units", 3, "in", 5)`` as ``units[3].in[5]``."""
+    text = ""
+    for step in path:
+        if isinstance(step, int):
+            text += f"[{step}]"
+        elif step.isidentifier():
+            text += f".{step}" if text else step
+        else:
+            text += f"[{json.dumps(step)}]"
+    return text or "top level"
+
+
+def _wrong_type(path: tuple, expected: str, value: object) -> InputError:
+    got = _KINDS.get(type(value), type(value).__name__)
+    return InputError(f"{where(path)}: expected {expected}, got {got}")
+
+
+def obj(
+    value: object,
+    path: tuple,
+    required: Collection[str] = (),
+    optional: Collection[str] | None = None,
+    of: Callable | None = None,
+) -> dict:
+    """An object with the ``required`` fields; with ``optional``, no other
+    fields; with ``of``, a new object of its values checked by ``of``."""
+    if type(value) is not dict:
+        raise _wrong_type(path, "an object", value)
+    if optional is not None:
+        for key in value:
+            if key not in required and key not in optional:
+                allowed = ", ".join((*required, *optional))
+                raise InputError(
+                    f"{where((*path, key))}: unknown field; allowed: {allowed}"
+                )
+    for key in required:
+        if key not in value:
+            raise InputError(f"{where((*path, key))}: missing required field")
+    if of is None:
+        return value
+    if set(map(type, value.values())) <= _UNCHANGED[of]:
+        return dict(value)
+    return {key: of(item, (*path, key)) for key, item in value.items()}
+
+
+def array(value: object, path: tuple, of: Callable | tuple | None = None) -> list:
+    """A list; with ``of``, a new list of its items checked by ``of``, or by
+    a tuple of checks, one per cell, into tuples.  Either way, items that
+    need no conversion are checked in one pass over their types."""
+    if type(value) is not list:
+        raise _wrong_type(path, "a list", value)
+    if of is None:
+        return value
+    if not isinstance(of, tuple):
+        if set(map(type, value)) <= _UNCHANGED[of]:
+            return list(value)
+        return [of(item, (*path, k)) for k, item in enumerate(value)]
+    if set(map(type, value)) <= {list} and set(map(len, value)) <= {len(of)}:
+        if all(set(map(type, col)) <= _UNCHANGED[c] for col, c in zip(zip(*value), of)):
+            return list(map(tuple, value))
+    rows = []
+    for k, item in enumerate(value):
+        if len(array(item, (*path, k))) != len(of):
+            raise InputError(
+                f"{where((*path, k))}: expected {len(of)} items, got {len(item)}"
+            )
+        cells = enumerate(zip(of, item))
+        rows.append(tuple(check(x, (*path, k, c)) for c, (check, x) in cells))
+    return rows
+
+
+def string(value: object, path: tuple) -> str:
+    if type(value) is not str:
+        raise _wrong_type(path, "a string", value)
+    return value
+
+
+def number(value: object, path: tuple) -> float:
+    """An int or a float, as a float; a boolean is not a number here."""
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        raise _wrong_type(path, "a number", value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{where(path)}: number out of range") from None
+
+
+# The item types each item check returns as they are.
+_UNCHANGED = {string: {str}, number: {float}}

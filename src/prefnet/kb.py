@@ -59,6 +59,7 @@ from .concepts import (
     walk,
 )
 from .errors import ParseError
+from .jsonin import read_text
 
 __all__ = [
     "WeightedKB",
@@ -288,7 +289,7 @@ def serialize_kb(kb: WeightedKB) -> str:
 
 
 def load_kb(path: str | Path, keywords: Collection[str] | None = None) -> WeightedKB:
-    return parse_kb(Path(path).read_text(encoding="utf-8"), keywords)
+    return parse_kb(read_text(path), keywords)
 
 
 def save_kb(kb: WeightedKB, path: str | Path) -> None:

@@ -31,15 +31,16 @@ weight construction the block total reproduces ``u_k(x)`` exactly wherever
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from . import jsonin
 from .concepts import TOP, Name, is_identifier
 from .errors import (
     ActivationPreconditionError,
+    InputError,
     NonConvergenceError,
     PrefnetError,
 )
@@ -144,7 +145,7 @@ def get_activation(tag: str) -> Activation:
         return ACTIVATIONS[tag]
     except KeyError:
         options = ", ".join(sorted(ACTIVATIONS))
-        raise ValueError(
+        raise InputError(
             f"unknown activation {tag!r}; choose one of: {options}"
         ) from None
 
@@ -175,10 +176,10 @@ class Network:
         self.c_units = tuple(self.c_units)
         ids = list(self.inputs) + [u.id for u in self.units]
         if len(set(ids)) != len(ids):
-            raise ValueError("node ids must be unique across inputs and units")
+            raise InputError("node ids must be unique across inputs and units")
         for node_id in ids:
             if not is_identifier(node_id):
-                raise ValueError(
+                raise InputError(
                     f"node id {node_id!r} is not a usable concept identifier"
                 )
         known = set(ids)
@@ -186,19 +187,19 @@ class Network:
         for u in self.units:
             get_activation(u.activation)
             if not math.isfinite(u.bias):
-                raise ValueError(f"unit {u.id!r} has a non-finite bias")
+                raise InputError(f"unit {u.id!r} has a non-finite bias")
             for src, w in u.incoming:
                 if src not in known:
-                    raise ValueError(
+                    raise InputError(
                         f"unit {u.id!r} has a synapse from undeclared node {src!r}"
                     )
                 if not math.isfinite(w):
-                    raise ValueError(
+                    raise InputError(
                         f"synapse {src!r} -> {u.id!r} has a non-finite weight"
                     )
         for cid in self.c_units:
             if cid not in unit_ids:
-                raise ValueError(f"designated unit {cid!r} is not a unit id")
+                raise InputError(f"designated unit {cid!r} is not a unit id")
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -246,13 +247,13 @@ class StimulusSet:
     def __post_init__(self) -> None:
         self.ids = tuple(self.ids)
         if len(set(self.ids)) != len(self.ids):
-            raise ValueError("stimulus ids must be unique")
+            raise InputError("stimulus ids must be unique")
         for sid in self.ids:
             if sid not in self.values:
-                raise ValueError(f"stimulus {sid!r} has no value row")
+                raise InputError(f"stimulus {sid!r} has no value row")
             for inp, value in self.values[sid].items():
                 if not math.isfinite(value):
-                    raise ValueError(
+                    raise InputError(
                         f"stimulus {sid!r} gives input {inp!r} the non-finite"
                         f" value {value!r}"
                     )
@@ -262,12 +263,12 @@ class StimulusSet:
             row = self.values[sid]
             for inp in net.inputs:
                 if inp not in row:
-                    raise ValueError(
+                    raise InputError(
                         f"stimulus {sid!r} assigns no value to input {inp!r}"
                     )
             for key in row:
                 if key not in net.inputs:
-                    raise ValueError(
+                    raise InputError(
                         f"stimulus {sid!r} assigns a value to unknown input {key!r}"
                     )
 
@@ -369,7 +370,7 @@ def build_fuzzy_interp(
     assertion-style queries can address single stimuli.
     """
     if not stimuli.ids:
-        raise ValueError("cannot interpret a network over zero stimuli")
+        raise InputError("cannot interpret a network over zero stimuli")
     if table is None:
         table = forward(net, stimuli)
     concepts: dict[str, dict[str, float]] = {}
@@ -404,7 +405,7 @@ def build_cwm_interp(
     Pareto global preference.
     """
     if threshold_mode not in ("nonzero", "half"):
-        raise ValueError("threshold_mode must be 'nonzero' or 'half'")
+        raise InputError("threshold_mode must be 'nonzero' or 'half'")
     fuzzy = build_fuzzy_interp(net, stimuli)
 
     def member(value: float) -> bool:
@@ -589,30 +590,32 @@ def network_to_json(net: Network) -> dict:
     }
 
 
-def network_from_json(obj: dict) -> Network:
-    if not isinstance(obj, dict) or "units" not in obj:
-        raise ValueError("a network object needs a 'units' list")
+def network_from_json(obj: object) -> Network:
+    doc = jsonin.obj(obj, (), ("units",), ("inputs", "C"))
     units = []
-    for entry in obj["units"]:
+    for i, entry in enumerate(jsonin.array(doc["units"], ("units",))):
+        entry = jsonin.obj(entry, ("units", i), ("id",), ("activation", "bias", "in"))
+        activation = entry.get("activation", "sigmoid")
+        synapses = jsonin.array(
+            entry.get("in", []), ("units", i, "in"), (jsonin.string, jsonin.number)
+        )
         units.append(
             Unit(
-                id=str(entry["id"]),
-                activation=str(entry.get("activation", "sigmoid")),
-                bias=float(entry.get("bias", 0.0)),
-                incoming=tuple(
-                    (str(src), float(w)) for src, w in entry.get("in", [])
-                ),
+                id=jsonin.string(entry["id"], ("units", i, "id")),
+                activation=jsonin.string(activation, ("units", i, "activation")),
+                bias=jsonin.number(entry.get("bias", 0.0), ("units", i, "bias")),
+                incoming=tuple(synapses),
             )
         )
     return Network(
-        inputs=tuple(str(i) for i in obj.get("inputs", [])),
+        inputs=tuple(jsonin.array(doc.get("inputs", []), ("inputs",), jsonin.string)),
         units=tuple(units),
-        c_units=tuple(str(c) for c in obj.get("C", [])),
+        c_units=tuple(jsonin.array(doc.get("C", []), ("C",), jsonin.string)),
     )
 
 
 def load_network(path: str | Path) -> Network:
-    return network_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    return network_from_json(jsonin.read_json(path))
 
 
 def stimuli_to_json(stimuli: StimulusSet) -> dict:
@@ -623,17 +626,19 @@ def stimuli_to_json(stimuli: StimulusSet) -> dict:
     }
 
 
-def stimuli_from_json(obj: dict) -> StimulusSet:
-    if not isinstance(obj, dict) or "stimuli" not in obj:
-        raise ValueError("a stimulus object needs a 'stimuli' list")
+def stimuli_from_json(obj: object) -> StimulusSet:
+    doc = jsonin.obj(obj, (), ("stimuli",), ())
     ids = []
     values = {}
-    for entry in obj["stimuli"]:
-        sid = str(entry["id"])
+    for i, entry in enumerate(jsonin.array(doc["stimuli"], ("stimuli",))):
+        entry = jsonin.obj(entry, ("stimuli", i), ("id",), ("values",))
+        sid = jsonin.string(entry["id"], ("stimuli", i, "id"))
         ids.append(sid)
-        values[sid] = {str(k): float(v) for k, v in (entry.get("values") or {}).items()}
+        values[sid] = jsonin.obj(
+            entry.get("values", {}), ("stimuli", i, "values"), of=jsonin.number
+        )
     return StimulusSet(ids=tuple(ids), values=values)
 
 
 def load_stimuli(path: str | Path) -> StimulusSet:
-    return stimuli_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    return stimuli_from_json(jsonin.read_json(path))

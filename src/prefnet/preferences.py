@@ -61,11 +61,7 @@ from .concepts import (
     contains_typ,
     is_rolefree_concept,
 )
-from .errors import (
-    EnumerationLimitError,
-    FragmentError,
-    UnknownNameError,
-)
+from .errors import EnumerationLimitError, FragmentError, InputError, UnknownNameError
 from .fuzzy import (
     ZADEH,
     FuzzyInterpretation,
@@ -119,7 +115,7 @@ def crisp_weight(
     """Sum of weights of the defaults x satisfies; -inf for non-instances."""
     _require_distinguished(kb, concept_name)
     if not interp.is_crisp:
-        raise ValueError("crisp_weight needs a two-valued interpretation")
+        raise InputError("crisp_weight needs a two-valued interpretation")
     return fuzzy_weight(kb, interp, ZADEH, concept_name, x)
 
 
@@ -242,7 +238,7 @@ def build_preferences(
                 f"interpretation does not cover concept name {name!r}"
             )
     if family is None and not interp.is_crisp:
-        raise ValueError(
+        raise InputError(
             "crisp preference construction needs a two-valued interpretation;"
             " pass a logic family for fuzzy interpretations"
         )
@@ -280,7 +276,7 @@ def _skyline(distinct: Iterable[tuple[float, ...]]) -> set[tuple[float, ...]]:
 def typicality_global(model: MultiprefModel, concept: Concept) -> list[str]:
     """Globally minimal instances of a crisp concept, in domain order."""
     if model.global_pref is None:
-        raise ValueError(
+        raise InputError(
             "no global preference in fuzzy mode; use typicality_induced"
         )
     member = degrees(model.interp, ZADEH, concept)
@@ -319,7 +315,7 @@ def check_typicality_axiom(
     instance.  An empty typicality set satisfies the plain axiom.
     """
     if fuzzy_semantics not in ("implication", "containment"):
-        raise ValueError(f"unknown typicality semantics {fuzzy_semantics!r}")
+        raise InputError(f"unknown typicality semantics {fuzzy_semantics!r}")
     if isinstance(axiom, StrictInclusion):
         left, right, theta, bound = axiom.left, axiom.right, ">=", 1.0
     elif isinstance(axiom, FuzzyInclusion):
@@ -327,7 +323,7 @@ def check_typicality_axiom(
     else:
         raise TypeError(f"not an inclusion axiom: {axiom!r}")
     if not isinstance(left, Typ):
-        raise ValueError("the axiom's left side must have the form T(C)")
+        raise InputError("the axiom's left side must have the form T(C)")
     subject = left.arg
 
     if model.is_crisp_mode:
@@ -353,7 +349,7 @@ def check_typicality_axiom(
 def is_crisp_model(kb: WeightedKB, interp: FuzzyInterpretation) -> bool:
     """True when the two-valued interpretation satisfies strict TBox and ABox."""
     if not interp.is_crisp:
-        raise ValueError("is_crisp_model needs a two-valued interpretation")
+        raise InputError("is_crisp_model needs a two-valued interpretation")
     return is_fuzzy_model(kb, interp, ZADEH)
 
 
@@ -601,7 +597,7 @@ def canonical_crisp_interpretation(kb: WeightedKB) -> FuzzyInterpretation:
     names = _check_rolefree(kb)
     elements = consistent_valuations(kb, names)
     if not elements:
-        raise ValueError("the strict TBox is unsatisfiable; no canonical model")
+        raise InputError("the strict TBox is unsatisfiable; no canonical model")
     return _assignment_interp(names, elements)
 
 

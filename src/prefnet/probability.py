@@ -12,23 +12,20 @@ cardinality ``|C and D| / |D|`` is the uniform-distribution special case,
 and the subsethood degree of C in D is ``|C and D| / |C|``.
 
 Conditioning on a singleton ``{x}`` collapses to the membership degree
-C(x); both routes are computed and cross-checked here.  Conjunction uses
+C(x), which is what :func:`nominal_conditional` returns.  Conjunction uses
 min throughout, so this module is pinned to the ``zadeh`` family.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
-from .concepts import And, Concept, Name, Nominal, ProbAssertion
-from .errors import (
-    UndefinedConditionalError,
-    UndefinedSubsethoodError,
-)
+from . import jsonin
+from .concepts import And, Concept, Name, ProbAssertion
+from .errors import InputError, UndefinedConditionalError, UndefinedSubsethoodError
 from .fuzzy import (
     EPS_CMP,
     ZADEH,
@@ -64,12 +61,12 @@ class Distribution:
         total = 0.0
         for elem, p in self.mu.items():
             if not math.isfinite(p) or p < 0.0:
-                raise ValueError(
+                raise InputError(
                     f"probability {p!r} at {elem!r} is not a finite nonnegative number"
                 )
             total += p
         if abs(total - 1.0) > EPS_CMP:
-            raise ValueError(
+            raise InputError(
                 f"distribution mass {total!r} is not 1 within {EPS_CMP}"
             )
 
@@ -80,21 +77,20 @@ class Distribution:
     def uniform(cls, domain: tuple[str, ...] | list[str]) -> "Distribution":
         n = len(domain)
         if n == 0:
-            raise ValueError("cannot build a distribution over an empty domain")
+            raise InputError("cannot build a distribution over an empty domain")
         return cls({elem: 1.0 / n for elem in domain})
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Distribution":
-        if not isinstance(obj, dict) or "mu" not in obj:
-            raise ValueError("a distribution object needs a 'mu' mapping")
-        return cls({str(k): float(v) for k, v in obj["mu"].items()})
+    def from_json(cls, obj: object) -> "Distribution":
+        doc = jsonin.obj(obj, (), ("mu",), ())
+        return cls(jsonin.obj(doc["mu"], ("mu",), of=jsonin.number))
 
     def to_json(self) -> dict:
         return {"mu": dict(self.mu)}
 
 
 def load_distribution(path: str | Path) -> Distribution:
-    return Distribution.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    return Distribution.from_json(jsonin.read_json(path))
 
 
 @dataclass
@@ -109,7 +105,7 @@ class FuzzyProbInterp:
         members = set(self.interp.domain)
         for elem in self.dist.mu:
             if elem not in members:
-                raise ValueError(
+                raise InputError(
                     f"distribution assigns mass to unknown element {elem!r}"
                 )
 
@@ -174,22 +170,15 @@ def subsethood(
 def nominal_conditional(fpi: FuzzyProbInterp, concept: Concept, individual: str) -> float:
     """Conditional probability of the concept given the singleton {individual}.
 
-    Computed as the event ratio and cross-checked against the membership
-    degree at the individual's element; the two agree up to rounding.
+    This is the membership degree at the individual's element; the event
+    ratio P(C and {x}) / P({x}) equals it up to rounding, or underflow.
     """
     elem = fpi.interp.element_of(individual)
     if fpi.dist.prob(elem) == 0.0:
         raise UndefinedConditionalError(
             f"individual {individual!r} carries probability zero"
         )
-    ratio = conditional_prob(fpi, concept, Nominal(individual))
-    direct = eval_concept(fpi.interp, fpi.family, concept, elem)
-    if abs(ratio - direct) > EPS_CMP:
-        raise ArithmeticError(
-            f"singleton conditioning disagrees with membership:"
-            f" {ratio!r} vs {direct!r}"
-        )
-    return ratio
+    return eval_concept(fpi.interp, fpi.family, concept, elem)
 
 
 def network_prob_abox(net: Network, stimuli: StimulusSet) -> list[ProbAssertion]:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from prefnet import parse_kb
+from prefnet import cli, parse_kb
 from prefnet.cli import main
 
 
@@ -408,6 +408,26 @@ def test_prob_queries_take_only_cc_and_passert_lines(capsys, interp_file, tmp_pa
         )
 
 
+def test_prob_passert_at_a_subnormal_mass(capsys, tmp_path):
+    # P(A and {b}) underflows to 0 here; the answer is still A(b).
+    interp = tmp_path / "i.json"
+    interp.write_text(json.dumps({
+        "domain": ["a", "b"], "concepts": {"A": {"b": 0.3}}, "individuals": {"b": "b"},
+    }), encoding="utf-8")
+    dist = tmp_path / "d.json"
+    dist.write_text('{"mu": {"a": 1.0, "b": 5e-324}}', encoding="utf-8")
+    queries = tmp_path / "q.wkb"
+    queries.write_text("passert: P(A(b))[0.3]\n", encoding="utf-8")
+    code, out, _ = run(
+        capsys, "prob", "--interp", str(interp), "--dist", str(dist),
+        "--queries", str(queries),
+    )
+    assert code == 0
+    [result] = json.loads(out)["results"]
+    assert result["value"] == 0.3
+    assert result["holds"] is True
+
+
 def test_prob_requires_a_query(capsys, interp_file):
     code, _, err = run(capsys, "prob", "--interp", interp_file)
     assert code == 2
@@ -461,3 +481,87 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# bad input files
+
+
+SIGMOID_UNIT = {"id": "o", "activation": "sigmoid", "in": [["i1", 1.0]]}
+STEP_UNIT_MISSPELT = {"id": "o", "activaton": "step", "in": [["i1", 1.0]]}
+NET = {"inputs": ["i1", "i2"], "units": [SIGMOID_UNIT], "C": ["o"]}
+STIMULUS = {"id": "s1", "values": {"i1": 0.5, "i2": 0.5}}
+
+
+@pytest.mark.parametrize(
+    "flag, doc, path",
+    [
+        ("--net", {**NET, "units": [STEP_UNIT_MISSPELT]}, "units[0].activaton"),
+        ("--net", {"inputs": ["i1", "i2"], "units": [SIGMOID_UNIT], "c": ["o"]}, "c"),
+        ("--net", {**NET, "units": [{**SIGMOID_UNIT, "bias": True}]}, "units[0].bias"),
+        ("--net", {**NET, "units": [{"activation": "sigmoid"}]}, "units[0].id"),
+        ("--net", {**NET, "units": SIGMOID_UNIT}, "units"),
+        ("--stimuli", {"stimuli": [{**STIMULUS, "id": 1}]}, "stimuli[0].id"),
+        ("--stimuli", {"stimuli": [{"id": "s1", "values": {"i1": "abc", "i2": 0.5}}]},
+         "stimuli[0].values.i1"),
+        ("--stimuli", {"stimuli": [{"id": "s1", "values": [1, 2]}]}, "stimuli[0].values"),
+        ("--stimuli", {"stimuli": 5}, "stimuli"),
+    ],
+    ids=[
+        "misspelt-activation", "misspelt-C", "bool-bias", "missing-id", "units-object",
+        "int-stimulus-id", "string-value", "values-list", "stimuli-number",
+    ],
+)
+def test_mlp_input_errors_name_the_json_path(capsys, tmp_path, flag, doc, path):
+    files = {"--net": tmp_path / "net.json", "--stimuli": tmp_path / "stim.json"}
+    files["--net"].write_text(json.dumps(NET), encoding="utf-8")
+    files["--stimuli"].write_text(json.dumps({"stimuli": [STIMULUS]}), encoding="utf-8")
+    files[flag].write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(
+        capsys, "mlp", "verify",
+        "--net", str(files["--net"]), "--stimuli", str(files["--stimuli"]),
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize(
+    "flag, doc, path",
+    [
+        ("--interp", {"domain": "ab", "concepts": {"A": {"a": 1.0}}}, "domain"),
+        ("--interp", {"domain": ["a", "b"], "concepts": {"A": {}}, "roles": {"r": [5]}},
+         "roles.r[0]"),
+        ("--dist", {"mu": [1]}, "mu"),
+    ],
+    ids=["string-domain", "role-entry-number", "mu-list"],
+)
+def test_prob_input_errors_name_the_json_path(capsys, tmp_path, flag, doc, path):
+    files = {"--interp": tmp_path / "interp.json", "--dist": tmp_path / "dist.json"}
+    files["--interp"].write_text(
+        json.dumps({"domain": ["a", "b"], "concepts": {"A": {"a": 1.0}}}), encoding="utf-8"
+    )
+    files["--dist"].write_text(json.dumps({"mu": {"a": 1.0}}), encoding="utf-8")
+    files[flag].write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(
+        capsys, "prob", "--interp", str(files["--interp"]),
+        "--dist", str(files["--dist"]), "--event", "A",
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith(f"{path}: ")
+
+
+def test_files_that_are_not_utf8_exit_2(capsys, tmp_path):
+    latin1 = tmp_path / "latin1.wkb"
+    latin1.write_bytes("distinguished: Caf\xe9\n".encode("latin-1"))
+    code, _, err = run(capsys, "validate", str(latin1))
+    assert code == 2
+    assert "not UTF-8" in json.loads(err)["error"]
+
+
+def test_main_lets_bugs_through(monkeypatch, net_file, stim_file):
+    def broken(net, stimuli):
+        raise KeyError("h1")
+
+    monkeypatch.setattr(cli, "forward", broken)
+    with pytest.raises(KeyError):
+        main(["mlp", "forward", "--net", net_file, "--stimuli", stim_file])
