@@ -31,6 +31,7 @@ from .errors import ParseError, PrefnetError
 from .fuzzy import (
     EPS_CMP,
     FAMILIES,
+    ZADEH,
     check_axiom,
     get_family,
     interpretation_to_json,
@@ -52,7 +53,6 @@ from .preferences import (
     build_preferences,
     check_typicality_axiom,
     counter_model,
-    is_crisp_model,
     is_fuzzy_model,
     typicality_global,
     typicality_induced,
@@ -135,28 +135,26 @@ def _cmd_check(args: argparse.Namespace) -> int:
         mode = "crisp" if interp.is_crisp else "fuzzy"
     if mode == "crisp" and not interp.is_crisp:
         return _fail("the interpretation has proper degrees; crisp mode not possible")
-    details: dict = {"mode": mode}
+    crisp = mode == "crisp"
+    # Crisp mode has checked above that the interpretation is two-valued.
+    details: dict = {
+        "mode": mode,
+        "is_model": is_fuzzy_model(kb, interp, ZADEH if crisp else family),
+    }
     if isinstance(axiom, (StrictInclusion, FuzzyInclusion)) and isinstance(
         axiom.left, Typ
     ):
-        if mode == "crisp":
-            model = build_preferences(kb, interp, None)
-            details["is_model"] = is_crisp_model(kb, interp)
-            details["typicality_set"] = typicality_global(model, axiom.left.arg)
-        else:
-            model = build_preferences(kb, interp, family)
-            details["is_model"] = is_fuzzy_model(kb, interp, family)
-            details["typicality_set"] = typicality_induced(
-                interp, family, axiom.left.arg
-            )
+        model = build_preferences(kb, interp, None if crisp else family)
+        subject = axiom.left.arg
+        details["typicality_set"] = (
+            typicality_global(model, subject)
+            if crisp
+            else typicality_induced(interp, family, subject)
+        )
         holds = check_typicality_axiom(
             model, axiom, fuzzy_semantics=args.typ_fuzzy_sem
         )
     else:
-        if mode == "crisp":
-            details["is_model"] = is_crisp_model(kb, interp)
-        else:
-            details["is_model"] = is_fuzzy_model(kb, interp, family)
         holds = check_axiom(interp, family, axiom)
     _emit_json(
         {"axiom": axiom_to_text(axiom), "holds": holds, "details": details}, args.out
@@ -224,7 +222,7 @@ def _cmd_prob(args: argparse.Namespace) -> int:
     sig = _query_signature(Signature(), interp)
     results: list[dict] = []
     if args.event:
-        concept = parse_concept(args.event, sig, allow_typ=False)
+        concept = parse_concept(args.event, sig)
         results.append(
             {
                 "event": str(concept),
@@ -232,7 +230,7 @@ def _cmd_prob(args: argparse.Namespace) -> int:
             }
         )
     if args.cc:
-        parser = _Parser(_tokenize(args.cc), sig, allow_typ=False)
+        parser = _Parser(_tokenize(args.cc), sig)
         constraint = parser.parse_axiom((ConditionalConstraint,))
         ratio = conditional_prob(fpi, constraint.left, constraint.given)
         results.append(
@@ -249,8 +247,8 @@ def _cmd_prob(args: argparse.Namespace) -> int:
             }
         )
     if args.subsethood:
-        left = parse_concept(args.subsethood[0], sig, allow_typ=False)
-        right = parse_concept(args.subsethood[1], sig, allow_typ=False)
+        left = parse_concept(args.subsethood[0], sig)
+        right = parse_concept(args.subsethood[1], sig)
         results.append(
             {
                 "left": str(left),

@@ -10,6 +10,10 @@ and singleton nominals ``{a}``.  Concepts are immutable trees built from:
 * ``T(C)`` (the typical instances of C),
 * ``{a}`` (the singleton of individual a).
 
+``T(C)`` is read only where a query inclusion or a ``def`` body begins,
+and ``T`` anywhere else is a :class:`ParseError`.  A concept nests at most
+``MAX_DEPTH`` parentheses, ``not``s, quantifiers and ``and``/``or`` links.
+
 Concrete syntax is plain ASCII, one expression per string::
 
     not Employee and exists has_boss.(Employee or Student)
@@ -74,7 +78,7 @@ __all__ = [
     "role_names_in",
     "is_el_concept",
     "is_rolefree_concept",
-    "contains_typ",
+    "MAX_DEPTH",
 ]
 
 
@@ -184,10 +188,6 @@ def is_el_concept(concept: Concept) -> bool:
 def is_rolefree_concept(concept: Concept) -> bool:
     """True when the concept mentions no roles and no nominals."""
     return not any(isinstance(n, (Exists, Forall, Nominal)) for n in walk(concept))
-
-
-def contains_typ(concept: Concept) -> bool:
-    return any(isinstance(n, Typ) for n in walk(concept))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +314,10 @@ _NUMBER_RE = re.compile(r"[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
 RESERVED = {"and", "or", "not", "exists", "forall", "Top", "Bottom", "T"}
 
+# Deeper concepts would exhaust Python's recursion limit in the parser, in
+# hashing and in printing.
+MAX_DEPTH = 100
+
 
 def is_identifier(text: str) -> bool:
     """True for a lexically valid, non-reserved identifier."""
@@ -381,19 +385,14 @@ class _Parser:
     """Recursive-descent parser over a token list.
 
     When a signature is supplied every identifier is validated against the
-    namespace its position demands.
+    namespace its position demands.  The grammar methods take the nesting
+    ``depth`` of the path to the subconcept they read, as ``MAX_DEPTH`` counts it.
     """
 
-    def __init__(
-        self,
-        tokens: list[_Token],
-        sig: Signature | None = None,
-        allow_typ: bool = True,
-    ):
+    def __init__(self, tokens: list[_Token], sig: Signature | None = None):
         self.tokens = tokens
         self.pos = 0
         self.sig = sig
-        self.allow_typ = allow_typ
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -410,6 +409,13 @@ class _Parser:
             found = tok.value or "end of input"
             raise ParseError(f"expected {shown}, found {found!r}", tok.line, tok.col)
         return self.next()
+
+    def deeper(self, depth: int) -> int:
+        """Consume the token that opens level ``depth + 1``, at most ``MAX_DEPTH``."""
+        tok = self.next()
+        if depth == MAX_DEPTH:
+            raise ParseError(f"concept nested deeper than {MAX_DEPTH}", tok.line, tok.col)
+        return depth + 1
 
     def expect_end(self) -> None:
         tok = self.peek()
@@ -443,42 +449,40 @@ class _Parser:
 
     # -- grammar
 
-    def parse_or(self) -> Concept:
-        node = self.parse_and()
+    def parse_or(self, depth: int = 0) -> Concept:
+        node = self.parse_and(depth)
         while self.peek().kind == "IDENT" and self.peek().value == "or":
-            self.next()
-            node = Or(node, self.parse_and())
+            depth = self.deeper(depth)
+            node = Or(node, self.parse_and(depth))
         return node
 
-    def parse_and(self) -> Concept:
-        node = self.parse_not()
+    def parse_and(self, depth: int) -> Concept:
+        node = self.parse_not(depth)
         while self.peek().kind == "IDENT" and self.peek().value == "and":
-            self.next()
-            node = And(node, self.parse_not())
+            depth = self.deeper(depth)
+            node = And(node, self.parse_not(depth))
         return node
 
-    def parse_not(self) -> Concept:
+    def parse_not(self, depth: int) -> Concept:
         tok = self.peek()
         if tok.kind == "IDENT" and tok.value == "not":
-            self.next()
-            return Not(self.parse_not())
-        return self.parse_quant()
+            return Not(self.parse_not(self.deeper(depth)))
+        return self.parse_quant(depth)
 
-    def parse_quant(self) -> Concept:
+    def parse_quant(self, depth: int) -> Concept:
         tok = self.peek()
         if tok.kind == "IDENT" and tok.value in ("exists", "forall"):
-            self.next()
+            depth = self.deeper(depth)
             role = self.name("role").value
             self.expect("DOT", "'.'")
             cls = Exists if tok.value == "exists" else Forall
-            return cls(role, self.parse_not())
-        return self.parse_atom()
+            return cls(role, self.parse_not(depth))
+        return self.parse_atom(depth)
 
-    def parse_atom(self) -> Concept:
+    def parse_atom(self, depth: int) -> Concept:
         tok = self.peek()
         if tok.kind == "LPAREN":
-            self.next()
-            node = self.parse_or()
+            node = self.parse_or(self.deeper(depth))
             self.expect("RPAREN", "')'")
             return node
         if tok.kind == "LBRACE":
@@ -494,17 +498,8 @@ class _Parser:
                 self.next()
                 return BOTTOM
             if tok.value == "T":
-                self.next()
-                if not self.allow_typ:
-                    raise ParseError(
-                        "typicality operator is not allowed here", tok.line, tok.col
-                    )
-                self.expect("LPAREN", "'(' after T")
-                arg = self.parse_or()
-                self.expect("RPAREN", "')'")
-                if contains_typ(arg):
-                    raise ParseError("nested typicality operator", tok.line, tok.col)
-                return Typ(arg)
+                msg = "T(...) may only begin a query inclusion or a def body"
+                raise ParseError(msg, tok.line, tok.col)
             return Name(self.name("concept").value)
         found = tok.value or "end of input"
         raise ParseError(f"expected a concept, found {found!r}", tok.line, tok.col)
@@ -514,10 +509,10 @@ class _Parser:
     def parse_axiom(self, forms: tuple[type, ...]) -> object:
         """Parse one axiom, of one of ``forms``, in the syntax of :func:`axiom_to_text`.
 
-        ``T(``, ``(`` and ``P(`` also open concepts, so a defeasible
-        inclusion, a conditional constraint or a probabilistic assertion is
-        read only when its form is asked for; every caller asks for those
-        alone.
+        ``T(`` is read only where a defeasible inclusion begins, and ``(``
+        and ``P(`` also open concepts, so a defeasible inclusion, a
+        conditional constraint or a probabilistic assertion is read only
+        when its form is asked for; every caller asks for those alone.
         """
         start = self.peek()
         if DefeasibleInclusion in forms:
@@ -542,15 +537,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "SUBSUMES":
             self.next()
-            right = self.parse_or()
-            if contains_typ(right):
-                raise ParseError(
-                    "typicality operator is only allowed on the left side", tok.line, tok.col
-                )
-            if self.peek().kind == "THETA":
-                theta = self.next().value
-                return FuzzyInclusion(left, right, theta, self.parse_degree())
-            return StrictInclusion(left, right)
+            return self._inclusion(left)
         if tok.kind == "LPAREN":
             axiom = self._applied(left)
             if isinstance(axiom, Assertion) and self.peek().kind == "THETA":
@@ -562,13 +549,27 @@ class _Parser:
         found = tok.value or "end of input"
         raise ParseError(f"expected '[=' or '(', found {found!r}", tok.line, tok.col)
 
+    def _inclusion(self, left: Concept) -> StrictInclusion | FuzzyInclusion:
+        """The rest of ``C [= D`` after ``[=``, with an optional bound."""
+        right = self.parse_or()
+        if self.peek().kind == "THETA":
+            theta = self.next().value
+            return FuzzyInclusion(left, right, theta, self.parse_degree())
+        return StrictInclusion(left, right)
+
+    def typical_inclusion(self) -> StrictInclusion | FuzzyInclusion:
+        """``T(C) [= D``, optionally bounded: where a query reads ``T(``."""
+        self.next()
+        left = Typ(self.parse_or(self.deeper(0)))
+        self.expect("RPAREN", "')'")
+        self.expect("SUBSUMES", "'[='")
+        axiom = self._inclusion(left)
+        self.expect_end()
+        return axiom
+
     def _applied(self, concept: Concept) -> Assertion | RoleAssertion:
         """``(a)`` or ``(a,b)`` after a concept; two arguments need a role name."""
         tok = self.expect("LPAREN", "'('")
-        if contains_typ(concept):
-            raise ParseError(
-                "typicality operator is not allowed in assertions", tok.line, tok.col
-            )
         args = [self.name("individual").value]
         if self.peek().kind == "COMMA":
             self.next()
@@ -640,19 +641,14 @@ class _Parser:
         return value
 
 
-def parse_concept(
-    text: str,
-    sig: Signature | None = None,
-    *,
-    allow_typ: bool = True,
-) -> Concept:
+def parse_concept(text: str, sig: Signature | None = None) -> Concept:
     """Parse a concept expression.
 
     With a signature, identifiers are resolved against it and a positioned
     error names the expected namespace on a mismatch; without one, any
-    well-placed identifier is accepted.
+    well-placed identifier is accepted.  ``T(...)`` is no concept here.
     """
-    parser = _Parser(_tokenize(text), sig=sig, allow_typ=allow_typ)
+    parser = _Parser(_tokenize(text), sig=sig)
     node = parser.parse_or()
     parser.expect_end()
     return node
@@ -672,9 +668,12 @@ def parse_query_axiom(
         C [= D                  C [= D >= 0.7
         C(a)                    C(a) > 0.5
 
-    The left side of an inclusion may be ``T(C)``.
+    An inclusion may begin with ``T(C)``, and nowhere else may ``T`` stand.
     """
-    return _Parser(_tokenize(text), sig=sig, allow_typ=True).parse_axiom(_QUERY_FORMS)
+    parser = _Parser(_tokenize(text), sig=sig)
+    if parser.peek().value == "T" and parser.tokens[1].kind == "LPAREN":
+        return parser.typical_inclusion()
+    return parser.parse_axiom(_QUERY_FORMS)
 
 
 # ---------------------------------------------------------------------------

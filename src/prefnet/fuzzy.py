@@ -62,7 +62,6 @@ from .concepts import (
     StrictInclusion,
     Top,
     Typ,
-    contains_typ,
 )
 from .errors import EvaluationError, InputError, UnknownNameError, UnsupportedAxiomError
 
@@ -345,21 +344,18 @@ def check_axiom(
     Strict inclusions and plain assertions are read as degree >= 1, which
     on a crisp interpretation coincides with the two-valued subset and
     membership checks.  Typicality inclusions, conditional constraints,
-    and probabilistic assertions belong to other checkers.
+    and probabilistic assertions belong to other checkers; a ``T(C)`` here
+    meets the :class:`EvaluationError` of :func:`degrees`.
     """
     if isinstance(axiom, StrictInclusion):
-        _reject_typ(axiom.left, axiom.right)
         return compare(eval_inclusion(interp, family, axiom.left, axiom.right), ">=", 1.0)
     if isinstance(axiom, FuzzyInclusion):
-        _reject_typ(axiom.left, axiom.right)
         value = eval_inclusion(interp, family, axiom.left, axiom.right)
         return compare(value, axiom.theta, axiom.degree)
     if isinstance(axiom, Assertion):
-        _reject_typ(axiom.concept)
         value = eval_concept(interp, family, axiom.concept, interp.element_of(axiom.individual))
         return compare(value, ">=", 1.0)
     if isinstance(axiom, FuzzyAssertion):
-        _reject_typ(axiom.concept)
         value = eval_concept(interp, family, axiom.concept, interp.element_of(axiom.individual))
         return compare(value, axiom.theta, axiom.degree)
     if isinstance(axiom, RoleAssertion):
@@ -374,14 +370,6 @@ def check_axiom(
             f"{type(axiom).__name__} is not checked against a bare interpretation"
         )
     raise TypeError(f"not an axiom: {axiom!r}")
-
-
-def _reject_typ(*concepts: Concept) -> None:
-    for c in concepts:
-        if contains_typ(c):
-            raise UnsupportedAxiomError(
-                "typicality axioms are checked against a preference model"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -422,4 +410,4 @@ def interpretation_from_json(obj: object) -> FuzzyInterpretation:
 
 
 def load_interpretation(path: str | Path) -> FuzzyInterpretation:
-    return interpretation_from_json(jsonin.read_json(path))
+    return jsonin.load(path, interpretation_from_json)

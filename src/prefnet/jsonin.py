@@ -1,10 +1,11 @@
-"""Reading input files, with errors that name the offending JSON field.
+"""Reading input files, with errors that name the file and the JSON field.
 
-:func:`read_json` reads a file, and each check returns its value when it
-has the expected JSON type, else raises :class:`InputError` starting with
-the value's JSON path: ``units[3].in[5]: expected a list, got a number``.
-Paths are tuples of keys and indices, formatted only on failure.  Ranges,
-finiteness, uniqueness and known ids are left to the constructors.
+:func:`load` builds a value from a JSON file.  Each check returns its value
+when it has the expected JSON type, else raises :class:`InputError` with the
+value's JSON path, after the file: ``net.json: units[3].in[5]: expected a
+list, got a number``.  Paths are tuples of keys and indices, formatted only
+on failure.  Ranges, finiteness, uniqueness and known ids are left to the
+constructors.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Collection
 from pathlib import Path
+from typing import TypeVar
 
 from .errors import InputError
 
@@ -31,7 +33,19 @@ def read_json(path: str | Path) -> object:
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as e:
-        raise InputError(f"invalid JSON: {e}") from None
+        raise InputError(f"{path}: invalid JSON: {e}") from None
+
+
+_T = TypeVar("_T")
+
+
+def load(path: str | Path, build: Callable[[object], _T]) -> _T:
+    """``build`` applied to the JSON at ``path``; each InputError starts with the path."""
+    doc = read_json(path)
+    try:
+        return build(doc)
+    except InputError as e:
+        raise InputError(f"{path}: {e}") from None
 
 
 def where(path: tuple) -> str:

@@ -20,7 +20,7 @@ statement sits on its own line::
 
 Each body is one axiom in the syntax :func:`axiom_to_text` writes, and
 the keyword names the forms it may take.  The typicality operator
-appears only on the left side of ``def`` lines.
+appears only at the start of a ``def`` body.
 Each ``def(<C>)`` subject must be declared distinguished, and a second
 ``distinguished:`` line is a duplicate-declaration error.  Namespaces
 (concept, role, individual) are inferred from position and must not
@@ -220,7 +220,7 @@ def parse_kb(text: str, keywords: Collection[str] | None = None) -> WeightedKB:
                 idx,
                 len(line) - len(line.lstrip()) + 1,
             )
-        parser = _Parser(_tokenize(line[m.end() :], idx, m.end()), allow_typ=False)
+        parser = _Parser(_tokenize(line[m.end() :], idx, m.end()))
         start = parser.peek()
         if forms is None:
             if distinguished is not None:

@@ -42,7 +42,6 @@ from .errors import (
     ActivationPreconditionError,
     InputError,
     NonConvergenceError,
-    PrefnetError,
 )
 from .fuzzy import EPS_CMP, ZADEH, FuzzyInterpretation
 from .kb import DefeasibleInclusion, WeightedKB
@@ -110,7 +109,9 @@ def _sigmoid(u: float) -> float:
 
 
 def _softplus01(u: float) -> float:
-    # log1p(exp(u)) rescaled onto (0, 1) by s / (1 + s).
+    # log1p(exp(u)) rescaled onto (0, 1) by s / (1 + s), which is inf / inf at u = inf.
+    if u == math.inf:
+        return 1.0
     s = u + math.log1p(math.exp(-u)) if u > 30.0 else math.log1p(math.exp(u))
     return s / (1.0 + s)
 
@@ -373,20 +374,12 @@ def build_fuzzy_interp(
         raise InputError("cannot interpret a network over zero stimuli")
     if table is None:
         table = forward(net, stimuli)
-    concepts: dict[str, dict[str, float]] = {}
-    for node in net.node_ids:
-        row = {}
-        for sid in stimuli.ids:
-            value = table.activity[sid][node]
-            if not 0.0 <= value <= 1.0:
-                raise PrefnetError(
-                    f"activity of {node!r} at {sid!r} is {value}, outside [0,1]"
-                )
-            row[sid] = value
-        concepts[node] = row
     return FuzzyInterpretation(
         domain=stimuli.ids,
-        concepts=concepts,
+        concepts={
+            node: {sid: table.activity[sid][node] for sid in stimuli.ids}
+            for node in net.node_ids
+        },
         individuals={sid: sid for sid in stimuli.ids},
     )
 
@@ -406,7 +399,9 @@ def build_cwm_interp(
     """
     if threshold_mode not in ("nonzero", "half"):
         raise InputError("threshold_mode must be 'nonzero' or 'half'")
-    fuzzy = build_fuzzy_interp(net, stimuli)
+    if not stimuli.ids:
+        raise InputError("cannot interpret a network over zero stimuli")
+    activity = forward(net, stimuli).activity
 
     def member(value: float) -> bool:
         return value != 0.0 if threshold_mode == "nonzero" else value > 0.5
@@ -415,7 +410,7 @@ def build_cwm_interp(
         node: {
             sid: 1.0
             for sid in stimuli.ids
-            if member(fuzzy.concepts[node][sid])
+            if member(activity[sid][node])
         }
         for node in net.node_ids
     }
@@ -427,8 +422,8 @@ def build_cwm_interp(
     prefs: dict[str, ConceptPreference] = {}
     for cid in net.c_units:
         weights = {
-            sid: fuzzy.concepts[cid][sid]
-            if member(fuzzy.concepts[cid][sid])
+            sid: activity[sid][cid]
+            if member(activity[sid][cid])
             else NEG_INF
             for sid in stimuli.ids
         }
@@ -615,7 +610,7 @@ def network_from_json(obj: object) -> Network:
 
 
 def load_network(path: str | Path) -> Network:
-    return network_from_json(jsonin.read_json(path))
+    return jsonin.load(path, network_from_json)
 
 
 def stimuli_to_json(stimuli: StimulusSet) -> dict:
@@ -641,4 +636,4 @@ def stimuli_from_json(obj: object) -> StimulusSet:
 
 
 def load_stimuli(path: str | Path) -> StimulusSet:
-    return stimuli_from_json(jsonin.read_json(path))
+    return jsonin.load(path, stimuli_from_json)

@@ -58,7 +58,6 @@ from .concepts import (
     Top,
     Typ,
     concept_names_in,
-    contains_typ,
     is_rolefree_concept,
 )
 from .errors import EnumerationLimitError, FragmentError, InputError, UnknownNameError
@@ -75,7 +74,6 @@ from .kb import _KEYWORD, WeightedKB
 __all__ = [
     "NEG_INF",
     "ConceptPreference",
-    "GlobalPreference",
     "MultiprefModel",
     "crisp_weight",
     "fuzzy_weight",
@@ -176,18 +174,6 @@ class ConceptPreference:
         return self.weights[x] == self.weights[y]
 
 
-@dataclass(frozen=True)
-class GlobalPreference:
-    """Pareto combination of the per-concept strict preferences."""
-
-    parts: tuple[ConceptPreference, ...]
-
-    def lt(self, x: str, y: str) -> bool:
-        return _dominates(
-            tuple(p.weights[x] for p in self.parts), tuple(p.weights[y] for p in self.parts)
-        )
-
-
 def _dominates(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
     """Pareto dominance of weight vectors: no worse anywhere, better somewhere."""
     return a != b and all(map(ge, a, b))
@@ -198,24 +184,17 @@ class MultiprefModel:
     """An interpretation plus one preference per distinguished concept.
 
     ``concepts`` lists the distinguished concepts in preference order.
-    ``family`` is None exactly in crisp mode, where the Pareto global
-    preference is built; in fuzzy mode there is no global relation.
+    ``family`` is None exactly in crisp mode, where typicality picks the
+    Pareto-minimal weight vectors; in fuzzy mode, the highest degrees.
     """
 
     interp: FuzzyInterpretation
     preferences: dict[str, ConceptPreference]
     family: LogicFamily | None = None
     concepts: tuple[str, ...] = field(init=False)
-    global_pref: GlobalPreference | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         self.concepts = tuple(self.preferences)
-        if self.family is None:
-            self.global_pref = GlobalPreference(tuple(self.preferences.values()))
-
-    @property
-    def is_crisp_mode(self) -> bool:
-        return self.family is None
 
     def weight(self, concept_name: str, x: str) -> float:
         return self.preferences[concept_name].weight(x)
@@ -229,8 +208,7 @@ def build_preferences(
     """Construct the concept-wise preferences a weighted KB induces.
 
     Pass a logic family for fuzzy weights; pass None for the crisp
-    construction on a two-valued interpretation, which also builds the
-    Pareto global preference.
+    construction on a two-valued interpretation.
     """
     for name in sorted(kb.signature().concept_names):
         if name not in interp.concepts:
@@ -274,8 +252,9 @@ def _skyline(distinct: Iterable[tuple[float, ...]]) -> set[tuple[float, ...]]:
 
 
 def typicality_global(model: MultiprefModel, concept: Concept) -> list[str]:
-    """Globally minimal instances of a crisp concept, in domain order."""
-    if model.global_pref is None:
+    """Globally minimal instances of a crisp concept, in domain order: those
+    whose weight vector over ``model.concepts`` no instance Pareto-dominates."""
+    if model.family is not None:
         raise InputError(
             "no global preference in fuzzy mode; use typicality_induced"
         )
@@ -306,8 +285,9 @@ def check_typicality_axiom(
 ) -> bool:
     """Decide ``T(C) [= D``, optionally with a degree bound.
 
-    Crisp mode uses the global preference: every globally typical instance
-    of C must belong to D (bounded variants compare the worst implication
+    Crisp mode (``model.family`` is None) uses the Pareto-minimal
+    instances of C (:func:`typicality_global`), each of which must belong
+    to D (bounded variants compare the worst implication under ``zadeh``
     instead).  Fuzzy mode uses membership-induced typicality; with
     ``fuzzy_semantics="implication"`` the axiom degree is the worst
     implication from the two-valued typicality membership into D, with
@@ -326,16 +306,14 @@ def check_typicality_axiom(
         raise InputError("the axiom's left side must have the form T(C)")
     subject = left.arg
 
-    if model.is_crisp_mode:
+    family = model.family or ZADEH
+    if model.family is None:
         typical = set(typicality_global(model, subject))
-        family = ZADEH
     else:
-        assert model.family is not None
-        family = model.family
         typical = set(typicality_induced(model.interp, family, subject))
 
     rows = list(zip(model.interp.domain, degrees(model.interp, family, right)))
-    if fuzzy_semantics == "containment" and not model.is_crisp_mode:
+    if fuzzy_semantics == "containment" and model.family is not None:
         return all(compare(d, theta, bound) for x, d in rows if x in typical)
 
     degree = min(family.impl(1.0 if x in typical else 0.0, d) for x, d in rows)
@@ -491,10 +469,6 @@ def _check_rolefree(kb: WeightedKB, *extra: Concept) -> list[str]:
             raise FragmentError(
                 f"concept {c} uses roles or nominals; entailment here is"
                 " restricted to the role-free boolean fragment"
-            )
-        if contains_typ(c):
-            raise FragmentError(
-                f"concept {c} nests the typicality operator"
             )
         names |= concept_names_in(c)
     if kb.abox:

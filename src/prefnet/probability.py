@@ -90,7 +90,7 @@ class Distribution:
 
 
 def load_distribution(path: str | Path) -> Distribution:
-    return Distribution.from_json(jsonin.read_json(path))
+    return jsonin.load(path, Distribution.from_json)
 
 
 @dataclass

@@ -36,6 +36,7 @@ from prefnet import (
     verify_strict_coherence,
     verify_weak_coherence,
 )
+from prefnet.preferences import _dominates
 from genutil import (
     duplicate_element,
     random_boolean_concept,
@@ -341,13 +342,14 @@ def test_criterion_6_order_properties():
                         for z in domain:
                             if pref.leq(x, y) and pref.leq(y, z):
                                 assert pref.leq(x, z)
-            g = model.global_pref
+            rows = [p.weights for p in model.preferences.values()]
+            vec = {x: tuple(w[x] for w in rows) for x in domain}
             for x in domain:
-                assert not g.lt(x, x)
+                assert not _dominates(vec[x], vec[x])
                 for y in domain:
                     for z in domain:
-                        if g.lt(x, y) and g.lt(y, z):
-                            assert g.lt(x, z)
+                        if _dominates(vec[x], vec[y]) and _dominates(vec[y], vec[z]):
+                            assert _dominates(vec[x], vec[z])
 
             # duplicating an element never changes verdicts
             clone_src = domain[0]

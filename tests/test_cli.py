@@ -4,6 +4,7 @@ import pytest
 
 from prefnet import cli, parse_kb
 from prefnet.cli import main
+from prefnet.concepts import MAX_DEPTH
 
 
 @pytest.fixture
@@ -230,6 +231,122 @@ def test_entail_rejects_statements_it_does_not_read(capsys, tmp_path):
     assert "'cc:'" in json.loads(err)["error"]
 
 
+@pytest.fixture
+def small_files(tmp_path):
+    """A one-default KB and a two-element interpretation with a role."""
+    kb = tmp_path / "small.wkb"
+    kb.write_text("distinguished: A\ndef(A): T(A) [= B @ 1\n", encoding="utf-8")
+    interp = tmp_path / "small.json"
+    interp.write_text(
+        json.dumps(
+            {
+                "domain": ["x", "y"],
+                "concepts": {"A": {"x": 1.0}, "B": {"x": 1.0, "y": 1.0}, "C": {}},
+                "roles": {"r": [["x", "y", 1.0], ["y", "y", 1.0]]},
+            }
+        ),
+        encoding="utf-8",
+    )
+    return str(kb), str(interp)
+
+
+@pytest.mark.parametrize(
+    "axiom, col",
+    [
+        ("T(A) and C [= B", 6),
+        ("not T(A) [= B", 5),
+        ("C or T(A) [= B", 6),
+        ("(T(A)) [= B", 2),
+        ("A [= T(B)", 6),
+        ("T(T(A)) [= B", 3),
+        ("T(A)(x)", 5),
+    ],
+)
+def test_check_reads_t_only_where_a_query_inclusion_begins(capsys, small_files, axiom, col):
+    kb, interp = small_files
+    code, out, err = run(capsys, "check", "--kb", kb, "--interp", interp, "--axiom", axiom)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith(f"line 1, col {col}: ")
+
+
+@pytest.mark.parametrize("axiom", ["T(A) [= B", "T(A) [= B >= 0.5"])
+def test_check_typicality_queries_still_hold(capsys, small_files, axiom):
+    kb, interp = small_files
+    code, out, _ = run(capsys, "check", "--kb", kb, "--interp", interp, "--axiom", axiom)
+    assert code == 0
+    assert json.loads(out)["holds"] is True
+
+
+def test_t_outside_a_query_or_def_body_is_a_parse_error(capsys, tmp_path, small_files):
+    kb, interp = small_files
+    code, out, err = run(capsys, "prob", "--interp", interp, "--event", "T(A)")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith("line 1, col 1: T(...) may only begin")
+    strict = tmp_path / "strict.wkb"
+    strict.write_text("distinguished: A\nstrict: T(A) [= B\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", "--kb", str(strict), "--interp", interp,
+                         "--axiom", "A [= B")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith("line 2, col 9: T(...) may only begin")
+
+
+def _and_chain(name, links):
+    return " and ".join([name] * (links + 1))
+
+
+@pytest.mark.parametrize(
+    "event, col",
+    [
+        ("(" * 200 + "A" + ")" * 200, MAX_DEPTH + 1),
+        ("not " * 500 + "A", 4 * MAX_DEPTH + 1),
+        (_and_chain("A", 600), 6 * MAX_DEPTH + 3),
+    ],
+    ids=["parentheses", "not", "and"],
+)
+def test_prob_rejects_concepts_past_the_depth_bound(capsys, small_files, event, col):
+    _, interp = small_files
+    code, out, err = run(capsys, "prob", "--interp", interp, "--event", event)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == (
+        f"line 1, col {col}: concept nested deeper than {MAX_DEPTH}"
+    )
+
+
+def test_entail_rejects_a_def_body_past_the_depth_bound(capsys, tmp_path):
+    path = tmp_path / "deep.wkb"
+    head = "def(A): T(A) [= "
+    path.write_text(
+        f"distinguished: A\n{head}{_and_chain('B', 1999)} @ 1\n", encoding="utf-8"
+    )
+    code, out, err = run(capsys, "entail", "--kb", str(path), "--query", "T(A) [= B")
+    assert (code, out) == (2, "")
+    col = len(head) + 6 * MAX_DEPTH + 3
+    assert json.loads(err)["error"].startswith(f"line 2, col {col}: concept nested deeper")
+
+
+def test_concepts_at_the_depth_bound_still_evaluate(capsys, tmp_path, small_files):
+    kb, interp = small_files
+    parens = "(" * MAX_DEPTH + "A" + ")" * MAX_DEPTH
+    for event in (parens, "not " * MAX_DEPTH + "A", _and_chain("A", MAX_DEPTH)):
+        code, out, _ = run(capsys, "prob", "--interp", interp, "--event", event)
+        assert code == 0
+        assert json.loads(out)["results"][0]["probability"] == 0.5
+    inner = "(" * (MAX_DEPTH - 1) + "A" + ")" * (MAX_DEPTH - 1)
+    axiom = f"T({inner}) [= {'exists r.' * MAX_DEPTH}B"
+    code, out, _ = run(capsys, "check", "--kb", kb, "--interp", interp, "--axiom", axiom)
+    assert code == 0
+    assert json.loads(out)["holds"] is True
+    path = tmp_path / "bound.wkb"
+    path.write_text(
+        f"distinguished: A\ndef(A): T(A) [= {_and_chain('B', MAX_DEPTH)} @ 1\n",
+        encoding="utf-8",
+    )
+    query = f"T({inner}) [= {'not ' * MAX_DEPTH}B"
+    code, out, _ = run(capsys, "entail", "--kb", str(path), "--query", query)
+    assert code == 0
+    assert json.loads(out)["entailed"] is True
+
+
 def test_entail_requires_typicality_query(capsys, tmp_path):
     path = tmp_path / "ref.wkb"
     path.write_text("distinguished: A\ndef(A): T(A) [= B @ 1\n", encoding="utf-8")
@@ -449,7 +566,7 @@ def test_invalid_json_is_named(capsys, kb_file, tmp_path):
         "--axiom", "Employee [= Adult",
     )
     assert code == 2
-    assert json.loads(err)["error"].startswith("invalid JSON")
+    assert json.loads(err)["error"].startswith(f"{truncated}: invalid JSON")
 
 
 @pytest.mark.parametrize(
@@ -522,7 +639,7 @@ def test_mlp_input_errors_name_the_json_path(capsys, tmp_path, flag, doc, path):
         "--net", str(files["--net"]), "--stimuli", str(files["--stimuli"]),
     )
     assert (code, out) == (2, "")
-    assert json.loads(err)["error"].startswith(f"{path}: ")
+    assert json.loads(err)["error"].startswith(f"{files[flag]}: {path}: ")
 
 
 @pytest.mark.parametrize(
@@ -547,7 +664,44 @@ def test_prob_input_errors_name_the_json_path(capsys, tmp_path, flag, doc, path)
         "--dist", str(files["--dist"]), "--event", "A",
     )
     assert (code, out) == (2, "")
-    assert json.loads(err)["error"].startswith(f"{path}: ")
+    assert json.loads(err)["error"].startswith(f"{files[flag]}: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"[]", "top level: expected an object, got a list"),
+        (b'{"mu": ', "invalid JSON: "),
+        ('{"x": "caf\xe9"}'.encode("latin-1"), "not UTF-8 text"),
+    ],
+    ids=["list", "truncated", "latin1"],
+)
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["prob", "--event", "Employee"], "--dist"),
+        (["prob", "--event", "Employee"], "--interp"),
+        (["mlp", "forward"], "--stimuli"),
+        (["mlp", "forward"], "--net"),
+    ],
+    ids=["prob-dist", "prob-interp", "forward-stimuli", "forward-net"],
+)
+def test_loader_errors_name_the_file(
+    capsys, tmp_path, interp_file, net_file, stim_file, argv, flag, content, message
+):
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"mu": {"tom": 1.0}}), encoding="utf-8")
+    files = {"--interp": interp_file, "--dist": str(dist), "--net": net_file,
+             "--stimuli": stim_file}
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    files[flag] = str(bad)
+    reads = ("--interp", "--dist") if argv[0] == "prob" else ("--net", "--stimuli")
+    code, out, err = run(capsys, *argv, *(x for f in reads for x in (f, files[f])))
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error.startswith(f"{bad}: {message}")
+    assert error.count(str(bad)) == 1
 
 
 def test_files_that_are_not_utf8_exit_2(capsys, tmp_path):

@@ -30,7 +30,7 @@ from prefnet import (
     parse_query_axiom,
     role_names_in,
 )
-from prefnet.concepts import _tokenize
+from prefnet.concepts import MAX_DEPTH, _tokenize
 from genutil import oracle_tokenize, random_alc_concept
 
 
@@ -74,8 +74,8 @@ def test_quantifier_takes_negation():
 
 
 def test_typicality_parses():
-    c = parse_concept("T(A and B)")
-    assert c == Typ(And(Name("A"), Name("B")))
+    ax = parse_query_axiom("T(A and B) [= C")
+    assert ax == StrictInclusion(Typ(And(Name("A"), Name("B"))), Name("C"))
 
 
 def test_typicality_cannot_nest():
@@ -84,8 +84,30 @@ def test_typicality_cannot_nest():
 
 
 def test_typicality_disabled():
-    with pytest.raises(ParseError):
-        parse_concept("T(A)", allow_typ=False)
+    with pytest.raises(ParseError, match="may only begin") as exc:
+        parse_concept("A and T(A)")
+    assert (exc.value.line, exc.value.col) == (1, 7)
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda n: "(" * n + "A" + ")" * n,
+        lambda n: "not " * n + "A",
+        lambda n: "exists r." * n + "A",
+        lambda n: " or ".join(["A"] * (n + 1)),
+        lambda n: "not " * (n - n // 2) + "(" * (n // 2) + "A" + ")" * (n // 2),
+    ],
+    ids=["parentheses", "not", "exists", "or", "mixed"],
+)
+def test_depth_bound(nest):
+    concept = parse_concept(nest(MAX_DEPTH))
+    assert parse_concept(concept_to_text(concept)) == concept
+    assert hash(concept) == hash(parse_concept(nest(MAX_DEPTH)))
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH}"):
+        parse_concept(nest(MAX_DEPTH + 1))
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH}"):
+        parse_query_axiom(f"T({nest(MAX_DEPTH)}) [= B")
 
 
 def test_reserved_words_are_not_names():
@@ -206,12 +228,12 @@ def test_serializer_minimal_parens():
         "not (A and B)",
         "exists r.(A or B)",
         "forall r.exists s.A",
-        "T(A and B)",
         "not not A",
     ]
     for text in cases:
         c = parse_concept(text)
         assert parse_concept(concept_to_text(c)) == c
+    assert concept_to_text(parse_query_axiom("T(A and B) [= C").left) == "T(A and B)"
 
 
 def test_axiom_serialization_round_trip():
@@ -258,8 +280,8 @@ def test_print_parse_round_trip(concept):
 @settings(max_examples=300, deadline=None)
 @given(concepts_st())
 def test_round_trip_with_typicality(concept):
-    wrapped = Typ(concept)
-    assert parse_concept(concept_to_text(wrapped)) == wrapped
+    wrapped = StrictInclusion(Typ(concept), concept)
+    assert parse_query_axiom(axiom_to_text(wrapped)) == wrapped
 
 
 @settings(max_examples=500, deadline=None)

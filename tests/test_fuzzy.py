@@ -10,6 +10,8 @@ from prefnet import (
     PRODUCT,
     ZADEH,
     EvaluationError,
+    Name,
+    Typ,
     UnknownNameError,
     UnsupportedAxiomError,
     check_axiom,
@@ -180,7 +182,7 @@ def test_eval_nominal(small_interp):
 
 def test_eval_rejects_typicality(small_interp):
     with pytest.raises(EvaluationError):
-        eval_concept(small_interp, ZADEH, parse_concept("T(A)"), "x")
+        eval_concept(small_interp, ZADEH, Typ(Name("A")), "x")
 
 
 def test_inclusion_degree(small_interp):

@@ -213,7 +213,7 @@ def test_network_errors_name_the_path(doc, message):
 def test_read_json_rejects_what_json_cannot_load(tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(InputError, match="^invalid JSON"):
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: invalid JSON"):
         read_json(path)
 
 

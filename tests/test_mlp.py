@@ -93,6 +93,19 @@ def test_softplus01_range():
     assert phi(40.0) > 0.97
 
 
+def test_softplus01_at_an_overflowing_field():
+    # 1e308 + 1e308 overflows the field to inf, where s / (1 + s) is nan.
+    net = Network(
+        inputs=("x0", "x1"),
+        units=(Unit("u0", "softplus01", 0.0, (("x0", 1e308), ("x1", 1e308))),),
+        c_units=("u0",),
+    )
+    stimuli = StimulusSet(ids=("s0",), values={"s0": {"x0": 1.0, "x1": 1.0}})
+    assert forward(net, stimuli).u("s0", "u0") == math.inf
+    assert forward(net, stimuli).y("s0", "u0") == 1.0
+    assert build_cwm_interp(net, stimuli).preferences["u0"].weights == {"s0": 1.0}
+
+
 def test_linear_clamp():
     phi = get_activation("linear-clamp").fn
     assert phi(-0.5) == 0.0

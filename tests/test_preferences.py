@@ -12,6 +12,7 @@ from prefnet import (
     Assertion,
     DefeasibleInclusion,
     EnumerationLimitError,
+    FAMILIES,
     FragmentError,
     FuzzyInterpretation,
     GOEDEL,
@@ -24,6 +25,7 @@ from prefnet import (
     Typ,
     WeightedKB,
     ZADEH,
+    build_fuzzy_interp,
     build_preferences,
     canonical_crisp_interpretation,
     check_typicality_axiom,
@@ -34,6 +36,7 @@ from prefnet import (
     crisp_interpretation,
     crisp_weight,
     entails_rolefree,
+    extract_kb,
     fuzzy_weight,
     is_crisp_model,
     is_fuzzy_model,
@@ -53,8 +56,10 @@ from genutil import (
     random_alc_concept,
     random_boolean_concept,
     random_crisp_interp,
+    random_feedforward_net,
     random_fuzzy_interp,
     random_rolefree_kb,
+    random_stimuli,
     set_extension,
 )
 
@@ -140,10 +145,16 @@ def test_employee_preference(employee_model):
     assert pref.sim("ssn1", "class1")
 
 
+def _vectors(model):
+    """Each element's weight vector over the model's distinguished concepts."""
+    rows = [model.preferences[c].weights for c in model.concepts]
+    return {x: tuple(w[x] for w in rows) for x in model.interp.domain}
+
+
 def test_global_preference(employee_model):
-    g = employee_model.global_pref
-    assert g.lt("bob", "tom")
-    assert not g.lt("tom", "tom")
+    vec = _vectors(employee_model)
+    assert preferences._dominates(vec["bob"], vec["tom"])
+    assert not preferences._dominates(vec["tom"], vec["tom"])
 
 
 def test_build_rejects_missing_concept_rows():
@@ -394,6 +405,76 @@ def test_coherence_report_cap(monkeypatch):
     assert capped.weakly_coherent == full.weakly_coherent
     assert len(capped.violations) <= 5 or capped.truncated
     assert len(full.violations) > len(capped.violations)
+
+
+def _oracle_coherence(model):
+    """Coherence by its definitions, pair by pair, for each distinguished C:
+    strict is ``W(x) > W(y)`` iff ``C(x) > C(y)``, weak is ``C(x) > C(y)``
+    implies ``W(x) > W(y)``; and every pair that breaks one, in report order."""
+    coherent = weakly = True
+    pairs = []
+    for c in model.concepts:
+        weight, degree = model.preferences[c].weights, model.interp.concepts[c]
+        for x in model.interp.domain:
+            for y in model.interp.domain:
+                heavier = weight[x] > weight[y]
+                higher = degree.get(x, 0.0) > degree.get(y, 0.0)
+                if higher and not heavier:
+                    coherent = weakly = False
+                    pairs.append((c, x, y, "weak"))
+                elif heavier and not higher:
+                    coherent = False
+                    pairs.append((c, x, y, "strict"))
+    return coherent, weakly, pairs
+
+
+def _coherence_models():
+    """Random fuzzy models under every family, degrees on a grid and integer
+    weights so that ties and -inf occur; then models of random nets."""
+    rng = random.Random(53)
+    for family in FAMILIES.values():
+        for _ in range(150):
+            names = ["A", "B", "C", "D"][: rng.randint(1, 4)]
+            distinguished = rng.sample(names, rng.randint(1, min(2, len(names))))
+            blocks = {
+                c: tuple(
+                    DefeasibleInclusion(
+                        c, random_boolean_concept(rng, names, 2), float(rng.randint(-2, 2))
+                    )
+                    for _ in range(rng.randint(1, 3))
+                )
+                for c in distinguished
+            }
+            domain = tuple(f"d{i}" for i in range(rng.randint(1, 6)))
+            interp = FuzzyInterpretation(
+                domain=domain,
+                concepts={n: {x: rng.choice((0.0, 0.5, 1.0)) for x in domain} for n in names},
+            )
+            kb = WeightedKB(distinguished=tuple(distinguished), defeasible=blocks)
+            yield build_preferences(kb, interp, family)
+    for activation in ("sigmoid", "softplus01", "hard-sigmoid", "step", "linear-clamp"):
+        for _ in range(20):
+            net = random_feedforward_net(rng, activation, max_layers=3, max_width=4)
+            stimuli = random_stimuli(rng, net, rng.randint(2, 8))
+            yield build_preferences(extract_kb(net), build_fuzzy_interp(net, stimuli), ZADEH)
+
+
+def test_coherence_report_matches_pairwise_oracle(monkeypatch):
+    monkeypatch.setattr(preferences, "MAX_VIOLATIONS", 10**9)
+    verdicts, neg_inf, ties = set(), False, False
+    for model in _coherence_models():
+        report = coherence_report(model)
+        coherent, weakly, pairs = _oracle_coherence(model)
+        assert (report.coherent, report.weakly_coherent) == (coherent, weakly)
+        assert [(v.concept, v.x, v.y, v.kind) for v in report.violations] == pairs
+        assert not report.truncated
+        verdicts.add((coherent, weakly))
+        for pref in model.preferences.values():
+            finite = [w for w in pref.weights.values() if w != NEG_INF]
+            neg_inf = neg_inf or len(finite) < len(pref.weights)
+            ties = ties or len(set(finite)) < len(finite)
+    assert verdicts == {(True, True), (False, True), (False, False)}
+    assert neg_inf and ties
 
 
 def test_coherence_json_shape():
@@ -773,13 +854,14 @@ def test_order_properties_random():
                     for z in domain:
                         if pref.leq(x, y) and pref.leq(y, z):
                             assert pref.leq(x, z)
-        g = model.global_pref
+        vec = _vectors(model)
+        lt = preferences._dominates
         for x in domain:
-            assert not g.lt(x, x)
+            assert not lt(vec[x], vec[x])
             for y in domain:
                 for z in domain:
-                    if g.lt(x, y) and g.lt(y, z):
-                        assert g.lt(x, z)
+                    if lt(vec[x], vec[y]) and lt(vec[y], vec[z]):
+                        assert lt(vec[x], vec[z])
 
 
 def test_duplicate_element_stability():
