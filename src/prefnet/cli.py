@@ -1,9 +1,14 @@
 """Command line front end.
 
 Subcommands: ``validate``, ``check``, ``entail``, ``mlp forward``,
-``mlp model``, ``mlp extract-kb``, ``mlp verify``, ``prob``.  Output goes
-to stdout as JSON (``mlp extract-kb`` emits KB text) or to ``--out``.
-Exit codes: 0 clean, 1 diagnostics or a failed verification, 2 usage
+``mlp model``, ``mlp extract-kb``, ``mlp verify``, ``prob``.  One table
+holds them, with their help, arguments and handler; a call builds the
+parser of the command it runs only (every command's when ``argv`` names
+none), so usage, help and errors read as with the whole tree.
+
+Output goes to stdout as JSON (``mlp extract-kb`` emits KB text) or to
+``--out``; a NaN or infinite number in it is an error naming its JSON
+path.  Exit codes: 0 clean, 1 diagnostics or a failed verification, 2 usage
 errors, bad input (any :class:`PrefnetError`) or IO errors.  Any other
 exception is a bug and shows its traceback.
 """
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,7 +33,7 @@ from .concepts import (
     parse_concept,
     parse_query_axiom,
 )
-from .errors import ParseError, PrefnetError
+from .errors import InputError, ParseError, PrefnetError
 from .fuzzy import (
     EPS_CMP,
     FAMILIES,
@@ -37,7 +43,7 @@ from .fuzzy import (
     interpretation_to_json,
     load_interpretation,
 )
-from .jsonin import read_text
+from .jsonin import read_text, where
 from .kb import load_kb, parse_kb, serialize_kb, validate_kb
 from .mlp import (
     build_cwm_interp,
@@ -81,7 +87,31 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def _emit_json(obj: object, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=False), out)
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError:
+        path = _non_finite(obj, ())
+        if path is None:
+            raise
+        raise InputError(f"{where(path)}: not a finite number") from None
+    _emit(text, out)
+
+
+def _non_finite(value: object, path: tuple) -> tuple | None:
+    """The JSON path of the first NaN or infinite float in ``value``."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        return None
+    for key, item in items:
+        found = _non_finite(item, (*path, key))
+        if found is not None:
+            return found
+    return None
 
 
 def _fail(message: str) -> int:
@@ -128,7 +158,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     kb = load_kb(args.kb)
     interp = load_interpretation(args.interp)
-    family = get_family(args.logic)
     axiom = parse_query_axiom(args.axiom, _query_signature(kb.signature(), interp))
     mode = args.mode
     if mode == "auto":
@@ -136,11 +165,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if mode == "crisp" and not interp.is_crisp:
         return _fail("the interpretation has proper degrees; crisp mode not possible")
     crisp = mode == "crisp"
-    # Crisp mode has checked above that the interpretation is two-valued.
-    details: dict = {
-        "mode": mode,
-        "is_model": is_fuzzy_model(kb, interp, ZADEH if crisp else family),
-    }
+    # Crisp mode has checked above that the interpretation is two-valued, where
+    # every family gives the same degrees, so it ignores --logic.
+    family = ZADEH if crisp else get_family(args.logic)
+    details: dict = {"mode": mode, "is_model": is_fuzzy_model(kb, interp, family)}
     if isinstance(axiom, (StrictInclusion, FuzzyInclusion)) and isinstance(
         axiom.left, Typ
     ):
@@ -280,26 +308,11 @@ def _cmd_prob(args: argparse.Namespace) -> int:
 # Parser
 
 
-def _add_out(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", default=None, help="write output to this file")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="prefnet",
-        description=(
-            "Preference models over weighted defeasible knowledge bases,"
-            " fuzzy semantics, and multilayer perceptrons"
-        ),
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("validate", help="parse and validate a .wkb file")
+def _args_validate(p: argparse.ArgumentParser) -> None:
     p.add_argument("kb")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_validate)
 
-    p = subs.add_parser("check", help="model-check one axiom")
+
+def _args_check(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kb", required=True)
     p.add_argument("--interp", required=True, help="interpretation JSON file")
     p.add_argument("--axiom", required=True, help="axiom text, e.g. 'T(C) [= D'")
@@ -308,37 +321,33 @@ def build_parser() -> argparse.ArgumentParser:
         "--typ-fuzzy-sem",
         choices=["implication", "containment"],
         default="implication",
-        help="semantics of degree-bounded typicality axioms in fuzzy mode",
+        help="semantics of degree-bounded typicality axioms in fuzzy mode;"
+        " ignored in crisp mode",
     )
     p.add_argument(
         "--logic",
         choices=sorted(FAMILIES),
         default="zadeh",
-        help="truth-function family for fuzzy evaluation",
+        help="truth-function family for fuzzy evaluation; ignored in crisp mode",
     )
-    _add_out(p)
-    p.set_defaults(handler=_cmd_check)
 
-    p = subs.add_parser(
-        "entail", help="role-free entailment in the KB's canonical model"
-    )
+
+def _args_entail(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kb", required=True)
     p.add_argument("--query", required=True, help="query text 'T(C) [= D'")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_entail)
 
-    mlp = subs.add_parser("mlp", help="network commands")
-    mlp_subs = mlp.add_subparsers(dest="mlp_command", required=True)
 
-    p = mlp_subs.add_parser("forward", help="activities and induced fields")
+def _args_net(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--net", required=True)
+
+
+def _args_net_stimuli(p: argparse.ArgumentParser) -> None:
     p.add_argument("--net", required=True)
     p.add_argument("--stimuli", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_mlp_forward)
 
-    p = mlp_subs.add_parser("model", help="interpretation from activities")
-    p.add_argument("--net", required=True)
-    p.add_argument("--stimuli", required=True)
+
+def _args_mlp_model(p: argparse.ArgumentParser) -> None:
+    _args_net_stimuli(p)
     p.add_argument("--kind", choices=["fuzzy", "crisp"], default="fuzzy")
     p.add_argument(
         "--threshold-mode",
@@ -346,37 +355,84 @@ def build_parser() -> argparse.ArgumentParser:
         default="nonzero",
         help="crisp membership rule",
     )
-    _add_out(p)
-    p.set_defaults(handler=_cmd_mlp_model)
 
-    p = mlp_subs.add_parser("extract-kb", help="designated units as a weighted KB")
-    p.add_argument("--net", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_mlp_extract)
 
-    p = mlp_subs.add_parser("verify", help="coherence of the extracted model")
-    p.add_argument("--net", required=True)
-    p.add_argument("--stimuli", required=True)
+def _args_mlp_verify(p: argparse.ArgumentParser) -> None:
+    _args_net_stimuli(p)
     p.add_argument("--coherence", choices=["strict", "weak"], default="strict")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_mlp_verify)
 
-    p = subs.add_parser("prob", help="probabilities of fuzzy events")
+
+def _args_prob(p: argparse.ArgumentParser) -> None:
     p.add_argument("--interp", required=True)
     p.add_argument("--dist", default=None, help="distribution JSON (default: uniform)")
     p.add_argument("--event", default=None, help="concept text")
     p.add_argument("--cc", default=None, help="constraint text '(C | D)[l,u]'")
     p.add_argument("--subsethood", nargs=2, default=None, metavar=("LEFT", "RIGHT"))
     p.add_argument("--queries", default=None, help=".wkb file with cc/passert lines")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_prob)
 
+
+# Command name -> (help, function adding its arguments, handler).  A table in
+# place of the handler holds subcommands, parsed into ``<name>_command``.
+_MLP_COMMANDS = {
+    "forward": ("activities and induced fields", _args_net_stimuli, _cmd_mlp_forward),
+    "model": ("interpretation from activities", _args_mlp_model, _cmd_mlp_model),
+    "extract-kb": ("designated units as a weighted KB", _args_net, _cmd_mlp_extract),
+    "verify": ("coherence of the extracted model", _args_mlp_verify, _cmd_mlp_verify),
+}
+_COMMANDS = {
+    "validate": ("parse and validate a .wkb file", _args_validate, _cmd_validate),
+    "check": ("model-check one axiom", _args_check, _cmd_check),
+    "entail": (
+        "role-free entailment in the KB's canonical model", _args_entail, _cmd_entail
+    ),
+    "mlp": ("network commands", None, _MLP_COMMANDS),
+    "prob": ("probabilities of fuzzy events", _args_prob, _cmd_prob),
+}
+
+
+def _add_commands(
+    parser: argparse.ArgumentParser, table: dict, dest: str, argv: list[str]
+) -> None:
+    """Add the command ``argv`` names first, or every command in ``table``
+    when it names none."""
+    if argv and argv[0] in table:
+        names, rest = argv[:1], argv[1:]
+        # Usage lines list every command, also when one parser is built.
+        metavar = "{" + ",".join(table) + "}"
+    else:
+        # argparse derives the same list, and names the argument by ``dest``
+        # in its errors.
+        names, rest, metavar = list(table), [], None
+    subs = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, run = table[name]
+        p = subs.add_parser(name, help=help_text)
+        if isinstance(run, dict):
+            _add_commands(p, run, f"{name}_command", rest)
+            continue
+        add_arguments(p)
+        p.add_argument("--out", default=None, help="write output to this file")
+        p.set_defaults(handler=run)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: below the root, only the command and
+    subcommand ``argv`` names, or all of them where it names none."""
+    parser = argparse.ArgumentParser(
+        prog="prefnet",
+        description=(
+            "Preference models over weighted defeasible knowledge bases,"
+            " fuzzy semantics, and multilayer perceptrons"
+        ),
+    )
+    _add_commands(parser, _COMMANDS, "command", argv or [])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.handler(args)
     except (PrefnetError, OSError) as e:

@@ -106,9 +106,9 @@ def array(value: object, path: tuple, of: Callable | tuple | None = None) -> lis
         if set(map(type, value)) <= _UNCHANGED[of]:
             return list(value)
         return [of(item, (*path, k)) for k, item in enumerate(value)]
-    if set(map(type, value)) <= {list} and set(map(len, value)) <= {len(of)}:
-        if all(set(map(type, col)) <= _UNCHANGED[c] for col, c in zip(zip(*value), of)):
-            return list(map(tuple, value))
+    rows = _rows(value, *(t for check in of for t in _UNCHANGED[check]))
+    if len(rows) == len(value):
+        return rows
     rows = []
     for k, item in enumerate(value):
         if len(array(item, (*path, k))) != len(of):
@@ -140,3 +140,23 @@ def number(value: object, path: tuple) -> float:
 
 # The item types each item check returns as they are.
 _UNCHANGED = {string: {str}, number: {float}}
+
+
+def _rows(value: list, *kinds: type) -> list:
+    """The items of ``value`` that are lists of cells of exactly the types
+    ``kinds``, as tuples, in one pass: a list with any other item comes
+    back shorter."""
+    if len(kinds) == 2:
+        a, b = kinds
+        return [
+            (x[0], x[1]) for x in value
+            if type(x) is list and len(x) == 2 and type(x[0]) is a and type(x[1]) is b
+        ]
+    if len(kinds) == 3:
+        a, b, c = kinds
+        return [
+            (x[0], x[1], x[2]) for x in value
+            if type(x) is list and len(x) == 3
+            and type(x[0]) is a and type(x[1]) is b and type(x[2]) is c
+        ]
+    return []

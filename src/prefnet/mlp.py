@@ -501,10 +501,12 @@ def _verify(net: Network, stimuli: StimulusSet, kind: str) -> VerificationReport
                     identity_ok = False
                 continue
             checked += 1
-            err = abs(w - table.u(sid, cid))
+            u = table.u(sid, cid)
+            # Equal infinities agree although inf - inf is NaN; a NaN error fails.
+            err = 0.0 if w == u else abs(w - u)
             if err > max_err:
                 max_err = err
-            if err > EPS_CMP:
+            if not err <= EPS_CMP:
                 identity_ok = False
     report = coherence_report(model)
     coh_ok = report.coherent if kind == "strict" else report.weakly_coherent

@@ -1,4 +1,11 @@
+import argparse
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -435,6 +442,34 @@ def test_mlp_rejects_non_finite_stimulus_values(capsys, tmp_path, net_file, valu
     assert "'s1'" in message and "'i2'" in message and "non-finite" in message
 
 
+def test_mlp_output_never_holds_a_non_finite_number(capsys, tmp_path):
+    # 1e308 + 1e308 overflows the induced field to inf.
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({
+        "inputs": ["a", "b"],
+        "units": [{"id": "u", "activation": "softplus01",
+                   "in": [["a", 1e308], ["b", 1e308]]}],
+        "C": ["u"],
+    }), encoding="utf-8")
+    stim = tmp_path / "stim.json"
+    stim.write_text(
+        json.dumps({"stimuli": [{"id": "s", "values": {"a": 1, "b": 1}}]}),
+        encoding="utf-8",
+    )
+    files = ("--net", str(net), "--stimuli", str(stim))
+    code, out, err = run(capsys, "mlp", "forward", *files)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "induced_field.s.u: not a finite number"}
+    # Weight and field are both inf there: the identity holds.
+    code, out, _ = run(capsys, "mlp", "verify", *files)
+    assert code == 0
+    report = json.loads(out)
+    assert (report["weight_identity_ok"], report["max_weight_error"]) == (True, 0.0)
+    code, out, _ = run(capsys, "mlp", "model", "--kind", "crisp", *files)
+    assert code == 0
+    assert json.loads(out)["concepts"]["u"] == {"s": 1.0}
+
+
 def test_mlp_verify_step_precondition_exit_2(capsys, tmp_path, stim_file):
     net = {
         "inputs": ["i1", "i2"],
@@ -598,6 +633,151 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from"
+                         " 'validate', 'check', 'entail', 'mlp', 'prob')"),
+        ([], "the following arguments are required: command"),
+        (["mlp"], "the following arguments are required: mlp_command"),
+    ],
+)
+def test_usage_errors_name_the_command_argument(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f": error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "axiom", ["T(Employee) [= Adult", "T(Student) [= Young >= 0.5", "Employee [= Adult"]
+)
+def test_check_ignores_fuzzy_flags_in_crisp_mode(capsys, kb_file, interp_file, axiom):
+    argv = ["check", "--kb", kb_file, "--interp", interp_file, "--axiom", axiom,
+            "--mode", "crisp"]
+    plain = run(capsys, *argv)
+    assert plain[0] == 0
+    assert run(capsys, *argv, "--logic", "product", "--typ-fuzzy-sem", "containment") \
+        == plain
+
+
+# ---------------------------------------------------------------------------
+# parsers: each call builds only the parser of the command it runs
+
+
+def _parse(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            namespace, code = vars(parser.parse_args(argv)), None
+        except SystemExit as e:
+            namespace, code = None, e.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+def _without(argv, i):
+    """``argv`` less the option at ``i`` and its values."""
+    end = next((j for j in range(i + 1, len(argv)) if argv[j].startswith("--")), len(argv))
+    return argv[:i] + argv[end:]
+
+
+_VALID = [
+    ["validate", "k.wkb"],
+    ["check", "--kb", "k.wkb", "--interp", "i.json", "--axiom", "a"],
+    ["check", "--kb", "k.wkb", "--interp", "i.json", "--axiom", "a", "--mode", "crisp",
+     "--typ-fuzzy-sem", "containment", "--logic", "product", "--out", "o.json"],
+    ["entail", "--kb", "k.wkb", "--query", "q"],
+    ["mlp", "forward", "--net", "n.json", "--stimuli", "s.json"],
+    ["mlp", "model", "--net", "n.json", "--stimuli", "s.json", "--kind", "crisp",
+     "--threshold-mode", "half"],
+    ["mlp", "extract-kb", "--net", "n.json", "--out", "o.wkb"],
+    ["mlp", "verify", "--net", "n.json", "--stimuli", "s.json", "--coherence", "weak"],
+    ["prob", "--interp", "i.json", "--dist", "d.json", "--event", "e", "--cc", "c",
+     "--subsethood", "l", "r", "--queries", "q.wkb"],
+]
+_COMMANDS = ["validate", "check", "entail", "mlp", "prob"]
+_MLP_COMMANDS = ["forward", "model", "extract-kb", "verify"]
+_COMMAND_WORDS = [[name] for name in _COMMANDS if name != "mlp"] + [
+    ["mlp", name] for name in _MLP_COMMANDS
+]
+_CORPUS = (
+    _VALID
+    + [["validate"]]
+    + [_without(argv, i) for argv in _VALID for i, w in enumerate(argv) if w[:2] == "--"]
+    + [argv + [flag, "x"] for argv, flag in [
+        (_VALID[1], "--mode"), (_VALID[1], "--typ-fuzzy-sem"), (_VALID[1], "--logic"),
+        (_VALID[5], "--kind"), (_VALID[5], "--threshold-mode"),
+        (_VALID[7], "--coherence"),
+    ]]
+    + [argv + ["extra"] for argv in _VALID]
+    + [argv + ["--logic", "goedel"] for argv in _VALID if argv[0] != "check"]
+    + [["-h"], ["mlp", "-h"]] + [words + ["-h"] for words in _COMMAND_WORDS]
+    + [["frobnicate"], [], ["mlp"], ["mlp", "frobnicate"], ["--out", "x", "entail"],
+       ["-h", "entail"]]
+)
+
+
+@pytest.mark.parametrize("argv", _CORPUS, ids=" ".join)
+def test_a_parser_for_argv_parses_it_as_the_full_parser_does(argv):
+    full = _parse(cli.build_parser(), argv)
+    assert _parse(cli.build_parser(argv), argv) == full
+    if argv in _VALID:
+        assert full[3] is not None
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [(["entail", "--kb", "k", "--query", "q"], 2), (["mlp", "verify"], 3), (["mlp"], 6),
+     (["-h"], 10), ([], 10)],
+)
+def test_build_parser_builds_only_the_named_command(monkeypatch, argv, count):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__",
+        lambda self, *a, **k: built.append(init(self, *a, **k)),
+    )
+    cli.build_parser(argv)
+    assert len(built) == count
+
+
+def test_the_console_script_parses_sys_argv(capsys, monkeypatch, tmp_path):
+    kb = tmp_path / "birds.wkb"
+    kb.write_text("distinguished: Bird\ndef(Bird): T(Bird) [= Fly @ 2\n", encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = [
+        ["-h"],
+        ["mlp", "-h"],
+        ["entail", "--kb", str(kb), "--query", "T(Bird) [= not Fly"],
+        ["frobnicate"],
+    ]
+    results = []
+    for argv in cases:
+        done = subprocess.run(
+            [sys.executable, "-m", "prefnet.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        assert (done.returncode, done.stdout, done.stderr) == (
+            code, captured.out, captured.err
+        ), argv
+        results.append((code, done.stdout))
+    (help_code, root_help), (_, mlp_help), entail, (usage_code, _) = results
+    assert help_code == 0 and usage_code == 2
+    assert "{validate,check,entail,mlp,prob}" in root_help
+    assert all(f"\n    {name} " in root_help for name in _COMMANDS)
+    assert "{forward,model,extract-kb,verify}" in mlp_help
+    assert all(f"\n    {name} " in mlp_help for name in _MLP_COMMANDS)
+    assert entail[0] == 0
+    assert json.loads(entail[1])["counter_model"] == {"Bird": True, "Fly": True}
 
 
 # ---------------------------------------------------------------------------

@@ -400,6 +400,21 @@ def test_verify_weak_accepts_hard_sigmoid():
     assert report.ok
 
 
+def test_weight_identity_fails_on_a_nan_error(monkeypatch):
+    # An overflowing field is inf, and so is the weight: equal infinities agree.
+    net = Network(
+        inputs=("x0", "x1"),
+        units=(Unit("u0", "softplus01", 0.0, (("x0", 1e308), ("x1", 1e308))),),
+        c_units=("u0",),
+    )
+    stimuli = StimulusSet(ids=("s0",), values={"s0": {"x0": 1.0, "x1": 1.0}})
+    report = verify_strict_coherence(net, stimuli)
+    assert (report.weight_identity_ok, report.max_weight_error) == (True, 0.0)
+    # inf against a NaN field: abs(w - u) is NaN, which no tolerance accepts.
+    monkeypatch.setattr(mlp.ActivityTable, "u", lambda self, s, unit: math.nan)
+    assert not verify_strict_coherence(net, stimuli).weight_identity_ok
+
+
 def test_verify_report_json():
     net = single_unit("sigmoid", 0.0, 1.0)
     report = verify_strict_coherence(net, one_stimulus(0.5))
