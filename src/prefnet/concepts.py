@@ -1,7 +1,9 @@
 """Concept and axiom syntax.
 
 The concept language is ALC extended with a typicality operator ``T(...)``
-and singleton nominals ``{a}``.  Concepts are immutable trees built from:
+and singleton nominals ``{a}``.  Concepts are immutable, hashable trees
+(:class:`prefnet.values.Value`), equal when they have the same shape and
+leaves, built from:
 
 * ``Top`` and ``Bottom``
 * concept names,
@@ -30,6 +32,8 @@ names, roles, nominals, both assertion arguments, ``def`` subjects and the
 ``[A-Za-z_][A-Za-z0-9_]*`` and is not one of the reserved words ``and``,
 ``or``, ``not``, ``exists``, ``forall``, ``Top``, ``Bottom`` and ``T``.
 
+Axioms and :class:`Signature` are immutable, hashable values too.
+
 Parsing is total: any input yields either a tree or a :class:`ParseError`
 carrying a line and column, never an unpositioned crash.  The serializer
 emits minimally parenthesized text, and serialize-then-parse returns a
@@ -40,10 +44,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import ParseError
+from .values import Value, _set, _set_key
 
 __all__ = [
     "Concept",
@@ -86,7 +90,7 @@ __all__ = [
 # Abstract syntax
 
 
-class Concept:
+class Concept(Value):
     """Base class for concept expressions."""
 
     __slots__ = ()
@@ -95,62 +99,90 @@ class Concept:
         return concept_to_text(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Top(Concept):
-    pass
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        _set_key(self, ())
 
 
-@dataclass(frozen=True, slots=True)
 class Bottom(Concept):
-    pass
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        _set_key(self, ())
 
 
-@dataclass(frozen=True, slots=True)
 class Name(Concept):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set_key(self, (name,))
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Concept):
-    arg: Concept
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Concept) -> None:
+        _set(self, "arg", arg)
+        _set_key(self, (arg,))
 
 
-@dataclass(frozen=True, slots=True)
 class And(Concept):
-    left: Concept
-    right: Concept
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Concept, right: Concept) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set_key(self, (left, right))
 
 
-@dataclass(frozen=True, slots=True)
 class Or(Concept):
-    left: Concept
-    right: Concept
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Concept, right: Concept) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set_key(self, (left, right))
 
 
-@dataclass(frozen=True, slots=True)
 class Exists(Concept):
-    role: str
-    arg: Concept
+    __slots__ = ("role", "arg")
+
+    def __init__(self, role: str, arg: Concept) -> None:
+        _set(self, "role", role)
+        _set(self, "arg", arg)
+        _set_key(self, (role, arg))
 
 
-@dataclass(frozen=True, slots=True)
 class Forall(Concept):
-    role: str
-    arg: Concept
+    __slots__ = ("role", "arg")
+
+    def __init__(self, role: str, arg: Concept) -> None:
+        _set(self, "role", role)
+        _set(self, "arg", arg)
+        _set_key(self, (role, arg))
 
 
-@dataclass(frozen=True, slots=True)
 class Typ(Concept):
     """The typical instances of the argument concept."""
 
-    arg: Concept
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Concept) -> None:
+        _set(self, "arg", arg)
+        _set_key(self, (arg,))
 
 
-@dataclass(frozen=True, slots=True)
 class Nominal(Concept):
     """Singleton concept containing exactly one named individual."""
 
-    individual: str
+    __slots__ = ("individual",)
+
+    def __init__(self, individual: str) -> None:
+        _set(self, "individual", individual)
+        _set_key(self, (individual,))
 
 
 TOP = Top()
@@ -194,17 +226,25 @@ def is_rolefree_concept(concept: Concept) -> bool:
 # Signature
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Value):
     """The named vocabulary: concept, role, and individual identifiers.
 
     The three sets are separate namespaces; an identifier may belong to at
     most one of them.
     """
 
-    concept_names: frozenset[str] = frozenset()
-    role_names: frozenset[str] = frozenset()
-    individual_names: frozenset[str] = frozenset()
+    __slots__ = ("concept_names", "role_names", "individual_names")
+
+    def __init__(
+        self,
+        concept_names: frozenset[str] = frozenset(),
+        role_names: frozenset[str] = frozenset(),
+        individual_names: frozenset[str] = frozenset(),
+    ) -> None:
+        _set(self, "concept_names", concept_names)
+        _set(self, "role_names", role_names)
+        _set(self, "individual_names", individual_names)
+        _set_key(self, (concept_names, role_names, individual_names))
 
     def conflicts(self) -> set[str]:
         """Identifiers claimed by more than one namespace."""
@@ -228,16 +268,18 @@ class Signature:
 # Axioms
 
 
-@dataclass(frozen=True)
-class StrictInclusion:
+class StrictInclusion(Value):
     """C [= D, required to hold without exception."""
 
-    left: Concept
-    right: Concept
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Concept, right: Concept) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set_key(self, (left, right))
 
 
-@dataclass(frozen=True)
-class DefeasibleInclusion:
+class DefeasibleInclusion(Value):
     """T(subject) [= consequent, carrying a real-valued weight.
 
     The subject is a distinguished concept name; positive weights mark
@@ -245,65 +287,87 @@ class DefeasibleInclusion:
     penalized ones.
     """
 
-    subject: str
-    consequent: Concept
-    weight: float
+    __slots__ = ("subject", "consequent", "weight")
+
+    def __init__(self, subject: str, consequent: Concept, weight: float) -> None:
+        _set(self, "subject", subject)
+        _set(self, "consequent", consequent)
+        _set(self, "weight", weight)
+        _set_key(self, (subject, consequent, weight))
 
 
-@dataclass(frozen=True)
-class FuzzyInclusion:
+class FuzzyInclusion(Value):
     """C [= D with a degree bound, e.g. ``C [= D >= 0.7``."""
 
-    left: Concept
-    right: Concept
-    theta: str
-    degree: float
+    __slots__ = ("left", "right", "theta", "degree")
+
+    def __init__(self, left: Concept, right: Concept, theta: str, degree: float) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "theta", theta)
+        _set(self, "degree", degree)
+        _set_key(self, (left, right, theta, degree))
 
 
-@dataclass(frozen=True)
-class Assertion:
+class Assertion(Value):
     """C(a): the individual a is an instance of C."""
 
-    concept: Concept
-    individual: str
+    __slots__ = ("concept", "individual")
+
+    def __init__(self, concept: Concept, individual: str) -> None:
+        _set(self, "concept", concept)
+        _set(self, "individual", individual)
+        _set_key(self, (concept, individual))
 
 
-@dataclass(frozen=True)
-class RoleAssertion:
+class RoleAssertion(Value):
     """r(a, b): a is related to b through role r."""
 
-    role: str
-    subject: str
-    target: str
+    __slots__ = ("role", "subject", "target")
+
+    def __init__(self, role: str, subject: str, target: str) -> None:
+        _set(self, "role", role)
+        _set(self, "subject", subject)
+        _set(self, "target", target)
+        _set_key(self, (role, subject, target))
 
 
-@dataclass(frozen=True)
-class FuzzyAssertion:
+class FuzzyAssertion(Value):
     """C(a) with a degree bound, e.g. ``C(a) >= 0.4``."""
 
-    concept: Concept
-    individual: str
-    theta: str
-    degree: float
+    __slots__ = ("concept", "individual", "theta", "degree")
+
+    def __init__(self, concept: Concept, individual: str, theta: str, degree: float) -> None:
+        _set(self, "concept", concept)
+        _set(self, "individual", individual)
+        _set(self, "theta", theta)
+        _set(self, "degree", degree)
+        _set_key(self, (concept, individual, theta, degree))
 
 
-@dataclass(frozen=True)
-class ConditionalConstraint:
+class ConditionalConstraint(Value):
     """(C | D)[l, u]: the conditional probability of C given D lies in [l, u]."""
 
-    left: Concept
-    given: Concept
-    lower: float
-    upper: float
+    __slots__ = ("left", "given", "lower", "upper")
+
+    def __init__(self, left: Concept, given: Concept, lower: float, upper: float) -> None:
+        _set(self, "left", left)
+        _set(self, "given", given)
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set_key(self, (left, given, lower, upper))
 
 
-@dataclass(frozen=True)
-class ProbAssertion:
+class ProbAssertion(Value):
     """P(C(a))[p]: the probability that a is an instance of C equals p."""
 
-    concept: Concept
-    individual: str
-    prob: float
+    __slots__ = ("concept", "individual", "prob")
+
+    def __init__(self, concept: Concept, individual: str, prob: float) -> None:
+        _set(self, "concept", concept)
+        _set(self, "individual", individual)
+        _set(self, "prob", prob)
+        _set_key(self, (concept, individual, prob))
 
 
 # ---------------------------------------------------------------------------

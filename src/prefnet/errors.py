@@ -49,7 +49,20 @@ class EnumerationLimitError(PrefnetError):
 
 
 class NonConvergenceError(PrefnetError):
-    """A recurrent network failed to reach a stationary state."""
+    """A recurrent network failed to reach a stationary state.
+
+    ``iterations`` synchronous updates ran for ``stimulus``, and the
+    largest activity change in the last one was ``last_delta``.
+    """
+
+    def __init__(self, stimulus: str, iterations: int, last_delta: float):
+        self.stimulus = stimulus
+        self.iterations = iterations
+        self.last_delta = last_delta
+        super().__init__(
+            f"no stationary state for stimulus {stimulus!r} within {iterations}"
+            f" iterations; the last one changed an activity by {last_delta!r}"
+        )
 
 
 class ActivationPreconditionError(PrefnetError):

@@ -36,7 +36,6 @@ and are exact for ``>`` and ``<``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import Callable
@@ -64,6 +63,7 @@ from .concepts import (
     Typ,
 )
 from .errors import EvaluationError, InputError, UnknownNameError, UnsupportedAxiomError
+from .values import Record, Value, _set, _set_key
 
 __all__ = [
     "EPS_CMP",
@@ -89,15 +89,25 @@ __all__ = [
 EPS_CMP = 1e-9
 
 
-@dataclass(frozen=True)
-class LogicFamily:
+class LogicFamily(Value):
     """A truth-function family: t-norm, s-norm, negation, implication."""
 
-    name: str
-    tnorm: Callable[[float, float], float]
-    snorm: Callable[[float, float], float]
-    neg: Callable[[float], float]
-    impl: Callable[[float, float], float]
+    __slots__ = ("name", "tnorm", "snorm", "neg", "impl")
+
+    def __init__(
+        self,
+        name: str,
+        tnorm: Callable[[float, float], float],
+        snorm: Callable[[float, float], float],
+        neg: Callable[[float], float],
+        impl: Callable[[float, float], float],
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "tnorm", tnorm)
+        _set(self, "snorm", snorm)
+        _set(self, "neg", neg)
+        _set(self, "impl", impl)
+        _set_key(self, (name, tnorm, snorm, neg, impl))
 
 
 ZADEH = LogicFamily(
@@ -145,41 +155,41 @@ def get_family(tag: str) -> LogicFamily:
         raise InputError(f"unknown logic family {tag!r}; choose one of: {options}") from None
 
 
-@dataclass
-class FuzzyInterpretation:
+class FuzzyInterpretation(Record):
     """A finite fuzzy first-order structure.
 
     Treat instances as immutable after construction; evaluation never
     mutates them, and :func:`degrees` memoises its results on them.
     ``concepts`` keys declare the known concept names, and looking up an
     undeclared name is an error, while a declared concept simply reads 0
-    at elements missing from its row.
+    at elements missing from its row.  ``==`` and ``repr`` read only the
+    four constructor fields.
     """
 
-    domain: tuple[str, ...]
-    concepts: dict[str, dict[str, float]] = field(default_factory=dict)
-    roles: dict[str, dict[tuple[str, str], float]] = field(default_factory=dict)
-    individuals: dict[str, str] = field(default_factory=dict)
-    # Derived at construction: element -> position, role -> per-element
-    # successor lists [(position, degree)], crispness, and the memo.
-    index: dict[str, int] = field(init=False, compare=False, repr=False)
-    successors: dict[str, list[list[tuple[int, float]]]] = field(
-        init=False, compare=False, repr=False
-    )
-    is_crisp: bool = field(init=False, compare=False, repr=False)
-    _memo: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+    _fields = ("domain", "concepts", "roles", "individuals")
 
-    def __post_init__(self) -> None:
-        self.domain = tuple(self.domain)
-        if not self.domain:
+    def __init__(
+        self,
+        domain: tuple[str, ...],
+        concepts: dict[str, dict[str, float]] | None = None,
+        roles: dict[str, dict[tuple[str, str], float]] | None = None,
+        individuals: dict[str, str] | None = None,
+    ) -> None:
+        self.domain = domain = tuple(domain)
+        self.concepts = concepts = {} if concepts is None else concepts
+        self.roles = roles = {} if roles is None else roles
+        self.individuals = individuals = {} if individuals is None else individuals
+        if not domain:
             raise InputError("the domain must be nonempty")
-        self.index = {x: i for i, x in enumerate(self.domain)}
-        if len(self.index) != len(self.domain):
+        # Derived: element -> position, role -> per-element successor
+        # lists [(position, degree)], crispness, and the memo.
+        self.index = index = {x: i for i, x in enumerate(domain)}
+        if len(index) != len(domain):
             raise InputError("domain elements must be unique")
         crisp = True
-        for cname, row in self.concepts.items():
+        for cname, row in concepts.items():
             for elem, deg in row.items():
-                if elem not in self.index:
+                if elem not in index:
                     raise InputError(
                         f"concept {cname!r} mentions unknown element {elem!r}"
                     )
@@ -188,11 +198,11 @@ class FuzzyInterpretation:
                         f"degree {deg!r} of {cname!r} at {elem!r} is outside [0,1]"
                     )
                 crisp = crisp and deg in (0.0, 1.0)
-        self.successors = {}
-        for rname, row in self.roles.items():
-            succ: list[list[tuple[int, float]]] = [[] for _ in self.domain]
+        self.successors: dict[str, list[list[tuple[int, float]]]] = {}
+        for rname, row in roles.items():
+            succ: list[list[tuple[int, float]]] = [[] for _ in domain]
             for (x, y), deg in row.items():
-                if x not in self.index or y not in self.index:
+                if x not in index or y not in index:
                     raise InputError(
                         f"role {rname!r} mentions an unknown element in ({x!r}, {y!r})"
                     )
@@ -201,21 +211,15 @@ class FuzzyInterpretation:
                         f"degree {deg!r} of {rname!r} at ({x!r}, {y!r}) is outside [0,1]"
                     )
                 crisp = crisp and deg in (0.0, 1.0)
-                succ[self.index[x]].append((self.index[y], deg))
+                succ[index[x]].append((index[y], deg))
             self.successors[rname] = succ
         self.is_crisp = crisp
-        for ind, elem in self.individuals.items():
-            if elem not in self.index:
+        for ind, elem in individuals.items():
+            if elem not in index:
                 raise InputError(
                     f"individual {ind!r} maps to unknown element {elem!r}"
                 )
-
-    def concept_degree(self, name: str, x: str) -> float:
-        try:
-            row = self.concepts[name]
-        except KeyError:
-            raise UnknownNameError(f"unknown concept name {name!r}") from None
-        return row.get(x, 0.0)
+        self._memo: dict = {}
 
     def role_degree(self, role: str, x: str, y: str) -> float:
         return self.roles.get(role, {}).get((x, y), 0.0)

@@ -22,16 +22,19 @@ Each body is one axiom in the syntax :func:`axiom_to_text` writes, and
 the keyword names the forms it may take.  The typicality operator
 appears only at the start of a ``def`` body.
 Each ``def(<C>)`` subject must be declared distinguished, and a second
-``distinguished:`` line is a duplicate-declaration error.  Namespaces
-(concept, role, individual) are inferred from position and must not
-overlap; overlaps surface as validation diagnostics.
+``distinguished:`` line is a duplicate-declaration error.  A
+:class:`WeightedKB` built in code is held to the same rules: every block
+belongs to a distinguished concept and holds only inclusions about it,
+with finite weights, so :func:`serialize_kb` can write any KB back.
+Namespaces (concept, role, individual) are inferred from position and
+must not overlap; overlaps surface as validation diagnostics.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Collection
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .concepts import (
@@ -58,8 +61,9 @@ from .concepts import (
     is_rolefree_concept,
     walk,
 )
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .jsonin import read_text
+from .values import Record, Value, _set, _set_key
 
 __all__ = [
     "WeightedKB",
@@ -75,25 +79,49 @@ __all__ = [
 ExtraAxiom = FuzzyInclusion | FuzzyAssertion | ConditionalConstraint | ProbAssertion
 
 
-@dataclass
-class WeightedKB:
+class WeightedKB(Record):
     """A strict TBox, weighted defeasible blocks, and a crisp ABox.
 
     ``defeasible`` holds one entry per distinguished concept, in declaration
-    order inside each block; repeated identical inclusions are kept.
+    order inside each block; repeated identical inclusions are kept.  A
+    block keyed by a name that is not distinguished, or holding an
+    inclusion about another subject, is an :class:`InputError`: neither
+    could be written back as ``.wkb`` text, and neither could a
+    non-finite weight.
     """
 
-    distinguished: tuple[str, ...] = ()
-    strict: tuple[StrictInclusion, ...] = ()
-    defeasible: dict[str, tuple[DefeasibleInclusion, ...]] = field(default_factory=dict)
-    abox: tuple[Assertion | RoleAssertion, ...] = ()
-    extra: tuple[ExtraAxiom, ...] = ()
+    _fields = ("distinguished", "strict", "defeasible", "abox", "extra")
 
-    def __post_init__(self) -> None:
-        blocks = dict(self.defeasible)
-        for name in self.distinguished:
+    def __init__(
+        self,
+        distinguished: tuple[str, ...] = (),
+        strict: tuple[StrictInclusion, ...] = (),
+        defeasible: dict[str, tuple[DefeasibleInclusion, ...]] | None = None,
+        abox: tuple[Assertion | RoleAssertion, ...] = (),
+        extra: tuple[ExtraAxiom, ...] = (),
+    ) -> None:
+        blocks = dict(defeasible or {})
+        for name, block in blocks.items():
+            if name not in distinguished:
+                raise InputError(f"defeasible block for {name!r} is not distinguished")
+            for pos, d in enumerate(block, start=1):
+                if d.subject != name:
+                    raise InputError(
+                        f"defeasible inclusion {pos} in block {name!r} has subject"
+                        f" {d.subject!r}"
+                    )
+                if not math.isfinite(d.weight):
+                    raise InputError(
+                        f"defeasible inclusion {pos} in block {name!r} has a"
+                        f" non-finite weight"
+                    )
+        for name in distinguished:
             blocks.setdefault(name, ())
+        self.distinguished = distinguished
+        self.strict = strict
         self.defeasible = blocks
+        self.abox = abox
+        self.extra = extra
 
     def defaults_for(self, concept_name: str) -> tuple[DefeasibleInclusion, ...]:
         return self.defeasible.get(concept_name, ())
@@ -149,12 +177,17 @@ class WeightedKB:
         return Signature(frozenset(concepts), frozenset(roles), frozenset(individuals))
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    level: str  # "error" or "warning"
-    message: str
-    line: int | None = None
-    col: int | None = None
+class Diagnostic(Value):
+    __slots__ = ("level", "message", "line", "col")
+
+    def __init__(
+        self, level: str, message: str, line: int | None = None, col: int | None = None
+    ) -> None:
+        _set(self, "level", level)  # "error" or "warning"
+        _set(self, "message", message)
+        _set(self, "line", line)
+        _set(self, "col", col)
+        _set_key(self, (level, message, line, col))
 
     def to_json(self) -> dict:
         out: dict = {"level": self.level, "message": self.message}
@@ -303,9 +336,10 @@ def save_kb(kb: WeightedKB, path: str | Path) -> None:
 def validate_kb(kb: WeightedKB) -> list[Diagnostic]:
     """Structural diagnostics, deterministic and independent of file order.
 
-    Errors: namespace overlaps, defeasible blocks for undeclared subjects,
-    subject mismatches, non-finite weights.  Warnings: defeasible
-    consequents outside the existential-conjunctive fragment.
+    Errors: namespace overlaps.  Warnings: defeasible consequents outside
+    the existential-conjunctive fragment.  (:class:`WeightedKB` itself
+    rejects blocks for undeclared subjects, subject mismatches and
+    non-finite weights.)
     """
     diags: list[Diagnostic] = []
     sig = kb.signature()
@@ -323,33 +357,8 @@ def validate_kb(kb: WeightedKB) -> list[Diagnostic]:
                 f"identifier {ident!r} is used as more than one of: {', '.join(kinds)}",
             )
         )
-    declared = set(kb.distinguished)
-    for name in sorted(kb.defeasible):
-        if name not in declared:
-            diags.append(
-                Diagnostic(
-                    "error",
-                    f"defeasible block for {name!r} lacks a distinguished declaration",
-                )
-            )
     for name in kb.distinguished:
-        for pos, d in enumerate(kb.defeasible.get(name, ()), start=1):
-            if d.subject != name:
-                diags.append(
-                    Diagnostic(
-                        "error",
-                        f"defeasible inclusion {pos} in block {name!r} has subject"
-                        f" {d.subject!r}",
-                    )
-                )
-            if d.weight != d.weight or d.weight in (float("inf"), float("-inf")):
-                diags.append(
-                    Diagnostic(
-                        "error",
-                        f"defeasible inclusion {pos} in block {name!r} has a"
-                        f" non-finite weight",
-                    )
-                )
+        for pos, d in enumerate(kb.defeasible[name], start=1):
             if not is_el_concept(d.consequent):
                 diags.append(
                     Diagnostic(

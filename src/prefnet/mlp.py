@@ -5,8 +5,10 @@ unit k computes an induced field ``u_k = bias_k + sum_j w_kj * s_j`` over
 the activities of its synapse sources (listed order, left to right) and an
 activity ``y_k = phi_k(u_k)``.  Acyclic networks are evaluated in one
 topological sweep; cyclic ones run synchronous updates from all-zero unit
-activities until the largest activity change drops below ``EPS_CMP``
-(at most ``MAX_ITERATIONS`` rounds), then record the stationary state.
+activities until the largest activity change drops below ``EPS_CMP``,
+then record the stationary state.  After ``MAX_ITERATIONS`` rounds
+without one, :class:`NonConvergenceError` reports the rounds run and the
+last change.
 
 Input activities are the stimulus values clamped to [0, 1].  The clamped
 value is both the concept membership of the input node and the signal its
@@ -32,7 +34,6 @@ weight construction the block total reproduces ``u_k(x)`` exactly wherever
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -53,6 +54,7 @@ from .preferences import (
     build_preferences,
     coherence_report,
 )
+from .values import Record, Value, _set, _set_key
 
 __all__ = [
     "MAX_ITERATIONS",
@@ -85,8 +87,7 @@ MAX_ITERATIONS = 10000
 # Activations
 
 
-@dataclass(frozen=True)
-class Activation:
+class Activation(Value):
     """An activation function with the properties verification relies on.
 
     The flags are claims about the mathematical function: strict increase,
@@ -94,11 +95,26 @@ class Activation:
     two verification routines, so each registry entry keeps them truthful.
     """
 
-    tag: str
-    fn: Callable[[float], float]
-    strictly_increasing: bool
-    range_in_unit_halfopen: bool
-    nondecreasing: bool
+    __slots__ = (
+        "tag", "fn", "strictly_increasing", "range_in_unit_halfopen", "nondecreasing"
+    )
+
+    def __init__(
+        self,
+        tag: str,
+        fn: Callable[[float], float],
+        strictly_increasing: bool,
+        range_in_unit_halfopen: bool,
+        nondecreasing: bool,
+    ) -> None:
+        _set(self, "tag", tag)
+        _set(self, "fn", fn)
+        _set(self, "strictly_increasing", strictly_increasing)
+        _set(self, "range_in_unit_halfopen", range_in_unit_halfopen)
+        _set(self, "nondecreasing", nondecreasing)
+        _set_key(
+            self, (tag, fn, strictly_increasing, range_in_unit_halfopen, nondecreasing)
+        )
 
 
 def _sigmoid(u: float) -> float:
@@ -155,26 +171,37 @@ def get_activation(tag: str) -> Activation:
 # Network structure
 
 
-@dataclass(frozen=True)
-class Unit:
-    id: str
-    activation: str
-    bias: float = 0.0
-    incoming: tuple[tuple[str, float], ...] = ()
+class Unit(Value):
+    __slots__ = ("id", "activation", "bias", "incoming")
+
+    def __init__(
+        self,
+        id: str,
+        activation: str,
+        bias: float = 0.0,
+        incoming: tuple[tuple[str, float], ...] = (),
+    ) -> None:
+        _set(self, "id", id)
+        _set(self, "activation", activation)
+        _set(self, "bias", bias)
+        _set(self, "incoming", incoming)
+        _set_key(self, (id, activation, bias, incoming))
 
 
-@dataclass
-class Network:
+class Network(Record):
     """Input nodes, units, and the designated concept units."""
 
-    inputs: tuple[str, ...]
-    units: tuple[Unit, ...]
-    c_units: tuple[str, ...] = ()
+    _fields = ("inputs", "units", "c_units")
 
-    def __post_init__(self) -> None:
-        self.inputs = tuple(self.inputs)
-        self.units = tuple(self.units)
-        self.c_units = tuple(self.c_units)
+    def __init__(
+        self,
+        inputs: tuple[str, ...],
+        units: tuple[Unit, ...],
+        c_units: tuple[str, ...] = (),
+    ) -> None:
+        self.inputs = tuple(inputs)
+        self.units = tuple(units)
+        self.c_units = tuple(c_units)
         ids = list(self.inputs) + [u.id for u in self.units]
         if len(set(ids)) != len(ids):
             raise InputError("node ids must be unique across inputs and units")
@@ -233,26 +260,20 @@ class Network:
                 return None
         return ordered
 
-    @property
-    def is_feedforward(self) -> bool:
-        return self.topological_units() is not None
-
-
-@dataclass
-class StimulusSet:
+class StimulusSet(Record):
     """Named input vectors; every stimulus assigns every input node."""
 
-    ids: tuple[str, ...]
-    values: dict[str, dict[str, float]]
+    _fields = ("ids", "values")
 
-    def __post_init__(self) -> None:
-        self.ids = tuple(self.ids)
-        if len(set(self.ids)) != len(self.ids):
+    def __init__(self, ids: tuple[str, ...], values: dict[str, dict[str, float]]) -> None:
+        self.ids = ids = tuple(ids)
+        self.values = values
+        if len(set(ids)) != len(ids):
             raise InputError("stimulus ids must be unique")
-        for sid in self.ids:
-            if sid not in self.values:
+        for sid in ids:
+            if sid not in values:
                 raise InputError(f"stimulus {sid!r} has no value row")
-            for inp, value in self.values[sid].items():
+            for inp, value in values[sid].items():
                 if not math.isfinite(value):
                     raise InputError(
                         f"stimulus {sid!r} gives input {inp!r} the non-finite"
@@ -274,16 +295,20 @@ class StimulusSet:
                     )
 
 
-@dataclass
-class ActivityTable:
+class ActivityTable(Record):
     """Recorded activities (all nodes) and induced fields (units only)."""
 
-    stimuli: tuple[str, ...]
-    activity: dict[str, dict[str, float]]
-    induced_field: dict[str, dict[str, float]]
+    _fields = ("stimuli", "activity", "induced_field")
 
-    def y(self, stimulus: str, node: str) -> float:
-        return self.activity[stimulus][node]
+    def __init__(
+        self,
+        stimuli: tuple[str, ...],
+        activity: dict[str, dict[str, float]],
+        induced_field: dict[str, dict[str, float]],
+    ) -> None:
+        self.stimuli = stimuli
+        self.activity = activity
+        self.induced_field = induced_field
 
     def u(self, stimulus: str, unit: str) -> float:
         return self.induced_field[stimulus][unit]
@@ -345,10 +370,7 @@ def forward(net: Network, stimuli: StimulusSet) -> ActivityTable:
                 if delta < EPS_CMP:
                     break
             else:
-                raise NonConvergenceError(
-                    f"no stationary state for stimulus {sid!r} within"
-                    f" {MAX_ITERATIONS} iterations"
-                )
+                raise NonConvergenceError(sid, MAX_ITERATIONS, delta)
             # One settling pass so recorded pairs satisfy y = phi(u) exactly.
             fields = {u.id: _field(u, signals) for u in net.units}
             for u in net.units:
@@ -456,17 +478,31 @@ def extract_kb(net: Network) -> WeightedKB:
     return WeightedKB(distinguished=net.c_units, defeasible=blocks)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of checking the activity/weight identity plus coherence."""
 
-    kind: str  # "strict" or "weak"
-    ok: bool
-    weight_identity_ok: bool
-    max_weight_error: float
-    gated_pairs: int
-    checked_pairs: int
-    coherence: CoherenceReport
+    _fields = (
+        "kind", "ok", "weight_identity_ok", "max_weight_error", "gated_pairs",
+        "checked_pairs", "coherence",
+    )
+
+    def __init__(
+        self,
+        kind: str,  # "strict" or "weak"
+        ok: bool,
+        weight_identity_ok: bool,
+        max_weight_error: float,
+        gated_pairs: int,
+        checked_pairs: int,
+        coherence: CoherenceReport,
+    ) -> None:
+        self.kind = kind
+        self.ok = ok
+        self.weight_identity_ok = weight_identity_ok
+        self.max_weight_error = max_weight_error
+        self.gated_pairs = gated_pairs
+        self.checked_pairs = checked_pairs
+        self.coherence = coherence
 
     def to_json(self) -> dict:
         return {

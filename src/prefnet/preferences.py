@@ -43,7 +43,6 @@ over the distinct vectors.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from operator import ge
 
 from .concepts import (
@@ -70,6 +69,7 @@ from .fuzzy import (
     degrees,
 )
 from .kb import _KEYWORD, WeightedKB
+from .values import Record, Value, _set, _set_key
 
 __all__ = [
     "NEG_INF",
@@ -150,28 +150,20 @@ def _require_distinguished(kb: WeightedKB, concept_name: str) -> None:
 # Preference relations
 
 
-@dataclass(frozen=True)
-class ConceptPreference:
+class ConceptPreference(Value):
     """Total preorder on the domain from one concept's weight map.
 
-    Lower in the order means more typical, so ``lt(x, y)`` holds when x
-    outweighs y.  Elements with weight -inf sit together at the very top.
+    Lower in the order means more typical: x <= y when ``weights[x] >=
+    weights[y]``.  Elements with weight -inf sit together at the very top.
+    The weights are a dict, so a preference is immutable but not hashable.
     """
 
-    concept: str
-    weights: dict[str, float]
+    __slots__ = ("concept", "weights")
 
-    def weight(self, x: str) -> float:
-        return self.weights[x]
-
-    def leq(self, x: str, y: str) -> bool:
-        return self.weights[x] >= self.weights[y]
-
-    def lt(self, x: str, y: str) -> bool:
-        return self.weights[x] > self.weights[y]
-
-    def sim(self, x: str, y: str) -> bool:
-        return self.weights[x] == self.weights[y]
+    def __init__(self, concept: str, weights: dict[str, float]) -> None:
+        _set(self, "concept", concept)
+        _set(self, "weights", weights)
+        _set_key(self, (concept, weights))
 
 
 def _dominates(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
@@ -179,8 +171,7 @@ def _dominates(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
     return a != b and all(map(ge, a, b))
 
 
-@dataclass
-class MultiprefModel:
+class MultiprefModel(Record):
     """An interpretation plus one preference per distinguished concept.
 
     ``concepts`` lists the distinguished concepts in preference order.
@@ -188,16 +179,18 @@ class MultiprefModel:
     Pareto-minimal weight vectors; in fuzzy mode, the highest degrees.
     """
 
-    interp: FuzzyInterpretation
-    preferences: dict[str, ConceptPreference]
-    family: LogicFamily | None = None
-    concepts: tuple[str, ...] = field(init=False)
+    _fields = ("interp", "preferences", "family", "concepts")
 
-    def __post_init__(self) -> None:
-        self.concepts = tuple(self.preferences)
-
-    def weight(self, concept_name: str, x: str) -> float:
-        return self.preferences[concept_name].weight(x)
+    def __init__(
+        self,
+        interp: FuzzyInterpretation,
+        preferences: dict[str, ConceptPreference],
+        family: LogicFamily | None = None,
+    ) -> None:
+        self.interp = interp
+        self.preferences = preferences
+        self.family = family
+        self.concepts = tuple(preferences)
 
 
 def build_preferences(
@@ -342,8 +335,7 @@ def is_fuzzy_model(
 # Coherence
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     """One ordered pair witnessing a preference/degree disagreement.
 
     ``kind`` is "weak" when the degrees order the pair strictly but the
@@ -352,21 +344,33 @@ class Violation:
     degree gap (this breaks full coherence only).
     """
 
-    concept: str
-    x: str
-    y: str
-    kind: str
+    __slots__ = ("concept", "x", "y", "kind")
+
+    def __init__(self, concept: str, x: str, y: str, kind: str) -> None:
+        _set(self, "concept", concept)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "kind", kind)
+        _set_key(self, (concept, x, y, kind))
 
     def to_json(self) -> dict:
         return {"concept": self.concept, "x": self.x, "y": self.y, "kind": self.kind}
 
 
-@dataclass
-class CoherenceReport:
-    coherent: bool
-    weakly_coherent: bool
-    violations: list[Violation] = field(default_factory=list)
-    truncated: bool = False
+class CoherenceReport(Record):
+    _fields = ("coherent", "weakly_coherent", "violations", "truncated")
+
+    def __init__(
+        self,
+        coherent: bool,
+        weakly_coherent: bool,
+        violations: list[Violation] | None = None,
+        truncated: bool = False,
+    ) -> None:
+        self.coherent = coherent
+        self.weakly_coherent = weakly_coherent
+        self.violations = [] if violations is None else violations
+        self.truncated = truncated
 
     def to_json(self) -> dict:
         return {

@@ -19,9 +19,7 @@ min throughout, so this module is pinned to the ``zadeh`` family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar
 
 from . import jsonin
 from .concepts import And, Concept, Name, ProbAssertion
@@ -35,6 +33,7 @@ from .fuzzy import (
     eval_concept,
 )
 from .mlp import Network, StimulusSet, forward
+from .values import Record, Value, _set, _set_key
 
 __all__ = [
     "Distribution",
@@ -51,15 +50,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """A probability mass function over domain elements; missing mass is 0."""
+class Distribution(Value):
+    """A probability mass function over domain elements; missing mass is 0.
 
-    mu: dict[str, float]
+    The masses are a dict, so a distribution is immutable but not hashable.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("mu",)
+
+    def __init__(self, mu: dict[str, float]) -> None:
         total = 0.0
-        for elem, p in self.mu.items():
+        for elem, p in mu.items():
             if not math.isfinite(p) or p < 0.0:
                 raise InputError(
                     f"probability {p!r} at {elem!r} is not a finite nonnegative number"
@@ -69,6 +70,8 @@ class Distribution:
             raise InputError(
                 f"distribution mass {total!r} is not 1 within {EPS_CMP}"
             )
+        _set(self, "mu", mu)
+        _set_key(self, (mu,))
 
     def prob(self, elem: str) -> float:
         return self.mu.get(elem, 0.0)
@@ -93,21 +96,21 @@ def load_distribution(path: str | Path) -> Distribution:
     return jsonin.load(path, Distribution.from_json)
 
 
-@dataclass
-class FuzzyProbInterp:
+class FuzzyProbInterp(Record):
     """A fuzzy interpretation paired with a distribution over its domain."""
 
-    interp: FuzzyInterpretation
-    dist: Distribution
-    family: ClassVar[LogicFamily] = ZADEH
+    _fields = ("interp", "dist")
+    family: LogicFamily = ZADEH
 
-    def __post_init__(self) -> None:
-        members = set(self.interp.domain)
-        for elem in self.dist.mu:
+    def __init__(self, interp: FuzzyInterpretation, dist: Distribution) -> None:
+        members = set(interp.domain)
+        for elem in dist.mu:
             if elem not in members:
                 raise InputError(
                     f"distribution assigns mass to unknown element {elem!r}"
                 )
+        self.interp = interp
+        self.dist = dist
 
 
 def fuzzy_event_prob(fpi: FuzzyProbInterp, concept: Concept) -> float:

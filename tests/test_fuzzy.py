@@ -145,9 +145,9 @@ def small_interp() -> FuzzyInterpretation:
 
 
 def test_concept_degree_defaults_to_zero(small_interp):
-    assert small_interp.concept_degree("B", "y") == 0.0
+    assert degrees(small_interp, ZADEH, Name("B")) == (0.5, 0.0)
     with pytest.raises(UnknownNameError):
-        small_interp.concept_degree("Z", "x")
+        degrees(small_interp, ZADEH, Name("Z"))
 
 
 def test_eval_connectives(small_interp):
@@ -226,8 +226,8 @@ def test_check_axiom_rejects_defeasible(employee_kb, small_interp):
 
 def test_crisp_interpretation_is_crisp(employee_interp):
     assert employee_interp.is_crisp
-    assert employee_interp.concept_degree("Employee", "tom") == 1.0
-    assert employee_interp.concept_degree("Young", "tom") == 0.0
+    assert employee_interp.concepts["Employee"]["tom"] == 1.0
+    assert "tom" not in employee_interp.concepts["Young"]
 
 
 def test_crisp_embedding_matches_set_semantics():

@@ -6,16 +6,11 @@ from hypothesis import strategies as st
 
 from prefnet import (
     Assertion,
-    Concept,
-    ConditionalConstraint,
     DefeasibleInclusion,
-    FuzzyAssertion,
-    FuzzyInclusion,
+    InputError,
     Name,
     ParseError,
-    ProbAssertion,
     RoleAssertion,
-    StrictInclusion,
     WeightedKB,
     classify_fragment,
     load_kb,
@@ -24,7 +19,7 @@ from prefnet import (
     serialize_kb,
     validate_kb,
 )
-from genutil import random_alc_concept, random_rolefree_kb
+from genutil import random_full_kb, random_rolefree_kb
 
 
 def test_parse_employee_kb(employee_kb):
@@ -150,49 +145,24 @@ def test_random_kb_round_trips():
         assert parse_kb(serialize_kb(kb)) == kb
 
 
-def random_full_kb(rng: random.Random) -> WeightedKB:
-    """A KB with every statement form, compound concepts and nominals."""
-    names, roles, inds = ["A", "B", "C"], ["r", "s"], ["tom", "bob"]
-
-    def concept() -> Concept:
-        return random_alc_concept(rng, names, roles, inds, 3)
-
-    def degree() -> float:
-        return rng.choice([0.0, 1.0, round(rng.random(), 3), rng.random()])
-
-    def theta() -> str:
-        return rng.choice([">=", "<=", ">", "<"])
-
-    distinguished = tuple(rng.sample(names, rng.randint(1, 3)))
-    defeasible = {
-        name: tuple(
-            DefeasibleInclusion(name, concept(), rng.uniform(-100, 100))
-            for _ in range(rng.randint(0, 3))
+def test_weighted_kb_accepts_only_what_serialize_kb_writes_back():
+    # serialize_kb writes only distinguished blocks, as def(<key>) lines whose
+    # subject parse_kb checks against the key, and prints every weight as a number.
+    stray = DefeasibleInclusion("B", Name("C"), 1.0)
+    with pytest.raises(InputError, match="block for 'B' is not distinguished"):
+        WeightedKB(distinguished=("A",), defeasible={"B": (stray,)})
+    mismatched = DefeasibleInclusion("Z", Name("C"), 2.0)
+    with pytest.raises(InputError, match="inclusion 2 in block 'A' has subject 'Z'"):
+        WeightedKB(
+            distinguished=("A",),
+            defeasible={"A": (DefeasibleInclusion("A", Name("C"), 1.0), mismatched)},
         )
-        for name in distinguished
-    }
-    strict = tuple(
-        StrictInclusion(concept(), concept()) for _ in range(rng.randint(0, 3))
-    )
-    abox = tuple(
-        Assertion(concept(), rng.choice(inds))
-        if rng.random() < 0.5
-        else RoleAssertion(rng.choice(roles), rng.choice(inds), rng.choice(inds))
-        for _ in range(rng.randint(0, 4))
-    )
-    extra = []
-    for _ in range(rng.randint(0, 6)):
-        kind = rng.randrange(4)
-        if kind == 0:
-            extra.append(FuzzyInclusion(concept(), concept(), theta(), degree()))
-        elif kind == 1:
-            extra.append(FuzzyAssertion(concept(), rng.choice(inds), theta(), degree()))
-        elif kind == 2:
-            lower, upper = sorted((degree(), degree()))
-            extra.append(ConditionalConstraint(concept(), concept(), lower, upper))
-        else:
-            extra.append(ProbAssertion(concept(), rng.choice(inds), degree()))
-    return WeightedKB(distinguished, strict, defeasible, abox, tuple(extra))
+    for weight in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(InputError, match="non-finite weight"):
+            WeightedKB(("A",), defeasible={"A": (DefeasibleInclusion("A", Name("C"), weight),)})
+    kb = WeightedKB(distinguished=("A", "B"), defeasible={"B": (stray,)})
+    assert kb.defeasible == {"A": (), "B": (stray,)}
+    assert parse_kb(serialize_kb(kb)) == kb
 
 
 def test_every_statement_form_round_trips():

@@ -60,7 +60,7 @@ def test_sigmoid_midpoint():
     net = single_unit("sigmoid", 0.0, 1.0)
     table = forward(net, one_stimulus(0.0))
     assert table.u("s0", "u0") == 0.0
-    assert table.y("s0", "u0") == 0.5
+    assert table.activity["s0"]["u0"] == 0.5
 
 
 def test_sigmoid_value():
@@ -68,13 +68,13 @@ def test_sigmoid_value():
     table = forward(net, one_stimulus(0.5))
     u = 0.25 + 2.0 * 0.5
     assert table.u("s0", "u0") == pytest.approx(u)
-    assert table.y("s0", "u0") == pytest.approx(1.0 / (1.0 + math.exp(-u)))
+    assert table.activity["s0"]["u0"] == pytest.approx(1.0 / (1.0 + math.exp(-u)))
 
 
 def test_step_threshold():
     net = single_unit("step", -1.0, 1.0)
-    assert forward(net, one_stimulus(0.5)).y("s0", "u0") == 0.0
-    assert forward(net, one_stimulus(1.0)).y("s0", "u0") == 1.0  # fires at u = 0
+    assert forward(net, one_stimulus(0.5)).activity["s0"]["u0"] == 0.0
+    assert forward(net, one_stimulus(1.0)).activity["s0"]["u0"] == 1.0  # fires at u = 0
 
 
 def test_hard_sigmoid_clips():
@@ -102,7 +102,7 @@ def test_softplus01_at_an_overflowing_field():
     )
     stimuli = StimulusSet(ids=("s0",), values={"s0": {"x0": 1.0, "x1": 1.0}})
     assert forward(net, stimuli).u("s0", "u0") == math.inf
-    assert forward(net, stimuli).y("s0", "u0") == 1.0
+    assert forward(net, stimuli).activity["s0"]["u0"] == 1.0
     assert build_cwm_interp(net, stimuli).preferences["u0"].weights == {"s0": 1.0}
 
 
@@ -178,8 +178,8 @@ def test_layered_forward():
     )
     table = forward(net, one_stimulus_for(net, 0.5))
     h = 1.0 / (1.0 + math.exp(-1.0))
-    assert table.y("s0", "h") == pytest.approx(h)
-    assert table.y("s0", "o") == pytest.approx(
+    assert table.activity["s0"]["h"] == pytest.approx(h)
+    assert table.activity["s0"]["o"] == pytest.approx(
         1.0 / (1.0 + math.exp(-(3.0 * h - 1.0)))
     )
 
@@ -202,12 +202,12 @@ def test_recurrent_fixed_point_matches_topo_on_acyclic(monkeypatch):
             iterated = forward(net, st)
         for sid in st.ids:
             for u in net.units:
-                assert direct.y(sid, u.id) == pytest.approx(
-                    iterated.y(sid, u.id), abs=1e-7
+                assert direct.activity[sid][u.id] == pytest.approx(
+                    iterated.activity[sid][u.id], abs=1e-7
                 )
                 # the settling pass makes y = phi(u) hold exactly
                 act = get_activation(u.activation).fn
-                assert iterated.y(sid, u.id) == act(iterated.u(sid, u.id))
+                assert iterated.activity[sid][u.id] == act(iterated.u(sid, u.id))
 
 
 def test_recurrent_convergence():
@@ -219,9 +219,9 @@ def test_recurrent_convergence():
         ),
         c_units=("a", "b"),
     )
-    assert not net.is_feedforward
+    assert net.topological_units() is None
     table = forward(net, one_stimulus_for(net, 0.8))
-    a, b = table.y("s0", "a"), table.y("s0", "b")
+    a, b = table.activity["s0"]["a"], table.activity["s0"]["b"]
     assert a == pytest.approx(
         1.0 / (1.0 + math.exp(-(0.8 + 0.5 * b))), abs=1e-7
     )
@@ -248,8 +248,13 @@ def test_nonconvergence_raises(monkeypatch):
         c_units=("a", "b"),
     )
     monkeypatch.setattr(mlp, "MAX_ITERATIONS", 200)
-    with pytest.raises(NonConvergenceError, match="200 iterations"):
+    with pytest.raises(NonConvergenceError, match="200 iterations") as caught:
         forward(net, one_stimulus_for(net, 0.5))
+    # Every round flips one unit between the saturation points 0 and 1.
+    assert caught.value.stimulus == "s0"
+    assert caught.value.iterations == 200
+    assert caught.value.last_delta == 1.0
+    assert "changed an activity by 1.0" in str(caught.value)
 
 
 def test_cycle_detection():
@@ -306,7 +311,7 @@ def test_extracted_weight_equals_field():
     for u in net.units:
         for sid in st.ids:
             w = fuzzy_weight(kb, interp, ZADEH, u.id, sid)
-            if table.y(sid, u.id) > 0.0:
+            if table.activity[sid][u.id] > 0.0:
                 assert w == table.u(sid, u.id)  # bit-exact
             else:
                 assert w == NEG_INF
@@ -327,17 +332,16 @@ def test_build_cwm_interp_thresholds():
         ids=("lo", "hi"), values={"lo": {"x0": 0.0}, "hi": {"x0": 1.0}}
     )
     nonzero = build_cwm_interp(net, st, "nonzero")
-    assert nonzero.interp.concept_degree("u0", "lo") == 1.0  # sigmoid(0)=0.5 != 0
+    assert nonzero.interp.concepts["u0"] == {"lo": 1.0, "hi": 1.0}  # sigmoid(0)=0.5 != 0
     half = build_cwm_interp(net, st, "half")
-    assert half.interp.concept_degree("u0", "lo") == 0.0  # 0.5 is not > 0.5
-    assert half.interp.concept_degree("u0", "hi") == 1.0
+    assert half.interp.concepts["u0"] == {"hi": 1.0}  # 0.5 is not > 0.5
 
 
 def test_cwm_weights_are_activities():
     net = single_unit("sigmoid", 0.0, 1.0)
     st = one_stimulus(1.0)
     model = build_cwm_interp(net, st, "nonzero")
-    y = forward(net, st).y("s0", "u0")
+    y = forward(net, st).activity["s0"]["u0"]
     assert model.preferences["u0"].weights["s0"] == y
 
 
@@ -381,7 +385,7 @@ def test_step_net_fails_strict_coherence():
         ids=("s0", "s1"), values={"s0": {"x0": 0.25}, "s1": {"x0": 0.75}}
     )
     table = forward(net, st)
-    assert table.y("s0", "u0") == table.y("s1", "u0") == 1.0
+    assert table.activity["s0"]["u0"] == table.activity["s1"]["u0"] == 1.0
     interp = build_fuzzy_interp(net, st, table)
     kb = extract_kb(net)
     model = build_preferences(kb, interp, ZADEH)

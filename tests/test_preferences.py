@@ -137,12 +137,10 @@ def test_crisp_fuzzy_weight_agreement(employee_kb, employee_interp):
 
 
 def test_employee_preference(employee_model):
-    pref = employee_model.preferences["Employee"]
-    assert pref.lt("bob", "tom")
-    assert not pref.lt("tom", "bob")
-    assert pref.leq("bob", "tom")
+    w = employee_model.preferences["Employee"].weights
+    assert w["bob"] > w["tom"]  # bob is strictly more typical
     # ssn1 and class1 sit at -inf together
-    assert pref.sim("ssn1", "class1")
+    assert w["ssn1"] == w["class1"] == NEG_INF
 
 
 def _vectors(model):
@@ -847,18 +845,20 @@ def test_order_properties_random():
         model = build_preferences(kb, interp)
         domain = interp.domain
         for pref in model.preferences.values():
+            # x <= y when w[x] >= w[y], and x < y when w[x] > w[y]
+            w = pref.weights
             for x in domain:
-                assert pref.leq(x, x)
+                assert w[x] >= w[x]
                 for y in domain:
-                    assert pref.leq(x, y) or pref.leq(y, x)  # total
-                    if pref.lt(x, y):
-                        assert not pref.lt(y, x)
+                    assert w[x] >= w[y] or w[y] >= w[x]  # total
+                    if w[x] > w[y]:
+                        assert not w[y] > w[x]
                         # modularity: x < y forces x < z or z < y
                         for z in domain:
-                            assert pref.lt(x, z) or pref.lt(z, y)
+                            assert w[x] > w[z] or w[z] > w[y]
                     for z in domain:
-                        if pref.leq(x, y) and pref.leq(y, z):
-                            assert pref.leq(x, z)
+                        if w[x] >= w[y] >= w[z]:
+                            assert w[x] >= w[z]
         vec = _vectors(model)
         lt = preferences._dominates
         for x in domain:
@@ -887,7 +887,8 @@ def test_duplicate_element_stability():
         if source in before:
             assert "clone" in after
         for ci in kb.distinguished:
-            assert model2.weight(ci, "clone") == model2.weight(ci, source)
+            weights = model2.preferences[ci].weights
+            assert weights["clone"] == weights[source]
 
 
 def test_typicality_invariant_under_weight_scaling():
@@ -903,9 +904,7 @@ def test_typicality_invariant_under_weight_scaling():
             )
             for ci, block in kb.defeasible.items()
         }
-        import dataclasses
-
-        kb2 = dataclasses.replace(kb, defeasible=scaled_blocks)
+        kb2 = WeightedKB(kb.distinguished, kb.strict, scaled_blocks, kb.abox, kb.extra)
         m1 = build_preferences(kb, interp)
         m2 = build_preferences(kb2, interp)
         for subject in kb.distinguished:

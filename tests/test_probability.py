@@ -215,6 +215,6 @@ def test_network_prob_abox():
     assert len(abox) == len(net.units) * len(st.ids)
     table = forward(net, st)
     for ax in abox:
-        assert ax.prob == table.y(ax.individual, ax.concept.name)
+        assert ax.prob == table.activity[ax.individual][ax.concept.name]
     unit_names = {u.id for u in net.units}
     assert {ax.concept.name for ax in abox} <= unit_names
