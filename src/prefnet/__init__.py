@@ -40,7 +40,6 @@ from .concepts import (
     is_rolefree_concept,
     parse_concept,
     parse_query_axiom,
-    role_names_in,
 )
 from .errors import (
     ActivationPreconditionError,
@@ -67,7 +66,6 @@ from .fuzzy import (
     LogicFamily,
     check_axiom,
     compare,
-    crisp_interpretation,
     degrees,
     eval_concept,
     eval_inclusion,
@@ -77,10 +75,8 @@ from .fuzzy import (
 )
 from .kb import (
     WeightedKB,
-    classify_fragment,
     load_kb,
     parse_kb,
-    save_kb,
     serialize_kb,
     validate_kb,
 )
@@ -97,9 +93,7 @@ from .mlp import (
     load_network,
     load_stimuli,
     network_from_json,
-    network_to_json,
     stimuli_from_json,
-    stimuli_to_json,
     verify_strict_coherence,
     verify_weak_coherence,
 )
@@ -107,7 +101,6 @@ from .preferences import (
     ENUMERATION_LIMIT,
     NEG_INF,
     build_preferences,
-    canonical_crisp_interpretation,
     check_typicality_axiom,
     coherence_report,
     consistent_valuations,
@@ -128,9 +121,7 @@ from .probability import (
     fuzzy_cardinality,
     fuzzy_event_prob,
     load_distribution,
-    network_prob_abox,
     nominal_conditional,
-    relative_cardinality,
     subsethood,
 )
 

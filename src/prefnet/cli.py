@@ -44,7 +44,7 @@ from .fuzzy import (
     load_interpretation,
 )
 from .jsonin import read_text, where
-from .kb import load_kb, parse_kb, serialize_kb, validate_kb
+from .kb import Diagnostic, load_kb, parse_kb, serialize_kb, validate_kb
 from .mlp import (
     build_cwm_interp,
     build_fuzzy_interp,
@@ -136,19 +136,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         kb = parse_kb(read_text(args.kb))
     except ParseError as e:
-        _emit_json(
-            {
-                "diagnostics": [
-                    {
-                        "level": "error",
-                        "message": e.message,
-                        "line": e.line,
-                        "col": e.col,
-                    }
-                ]
-            },
-            args.out,
-        )
+        diag = Diagnostic("error", e.message, e.line, e.col)
+        _emit_json({"diagnostics": [diag.to_json()]}, args.out)
         return 1
     diags = validate_kb(kb)
     _emit_json({"diagnostics": [d.to_json() for d in diags]}, args.out)

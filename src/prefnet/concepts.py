@@ -79,7 +79,6 @@ __all__ = [
     "format_number",
     "walk",
     "concept_names_in",
-    "role_names_in",
     "is_el_concept",
     "is_rolefree_concept",
     "MAX_DEPTH",
@@ -206,10 +205,6 @@ def walk(concept: Concept) -> Iterator[Concept]:
 
 def concept_names_in(concept: Concept) -> set[str]:
     return {n.name for n in walk(concept) if isinstance(n, Name)}
-
-
-def role_names_in(concept: Concept) -> set[str]:
-    return {n.role for n in walk(concept) if isinstance(n, (Exists, Forall))}
 
 
 def is_el_concept(concept: Concept) -> bool:
@@ -793,7 +788,7 @@ def concept_to_text(concept: Concept) -> str:
 
 def format_number(value: float) -> str:
     """Shortest faithful decimal form; integers drop the trailing '.0'."""
-    if value == int(value) and abs(value) < 1e16:
+    if abs(value) < 1e16 and value == int(value):
         return str(int(value))
     return repr(value)
 

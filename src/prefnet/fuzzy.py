@@ -75,7 +75,6 @@ __all__ = [
     "FAMILIES",
     "get_family",
     "FuzzyInterpretation",
-    "crisp_interpretation",
     "degrees",
     "eval_concept",
     "eval_inclusion",
@@ -229,29 +228,6 @@ class FuzzyInterpretation(Record):
             return self.individuals[individual]
         except KeyError:
             raise UnknownNameError(f"unknown individual name {individual!r}") from None
-
-
-def crisp_interpretation(
-    domain: tuple[str, ...] | list[str],
-    concept_members: dict[str, set[str] | list[str] | tuple[str, ...]] | None = None,
-    role_pairs: dict[str, set | list | tuple] | None = None,
-    individuals: dict[str, str] | None = None,
-) -> FuzzyInterpretation:
-    """Build a two-valued interpretation from membership sets."""
-    concepts = {
-        name: {elem: 1.0 for elem in members}
-        for name, members in (concept_members or {}).items()
-    }
-    roles = {
-        name: {(x, y): 1.0 for (x, y) in pairs}
-        for name, pairs in (role_pairs or {}).items()
-    }
-    return FuzzyInterpretation(
-        domain=tuple(domain),
-        concepts=concepts,
-        roles=roles,
-        individuals=dict(individuals or {}),
-    )
 
 
 # ---------------------------------------------------------------------------

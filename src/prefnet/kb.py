@@ -23,9 +23,9 @@ the keyword names the forms it may take.  The typicality operator
 appears only at the start of a ``def`` body.
 Each ``def(<C>)`` subject must be declared distinguished, and a second
 ``distinguished:`` line is a duplicate-declaration error.  A
-:class:`WeightedKB` built in code is held to the same rules: every block
-belongs to a distinguished concept and holds only inclusions about it,
-with finite weights, so :func:`serialize_kb` can write any KB back.
+:class:`WeightedKB` built in code is held to the same rules, degree and
+``T(...)`` rules included, so :func:`serialize_kb` can write any KB back
+as text that :func:`parse_kb` reads.
 Namespaces (concept, role, individual) are inferred from position and
 must not overlap; overlaps surface as validation diagnostics.
 """
@@ -52,13 +52,14 @@ from .concepts import (
     RoleAssertion,
     Signature,
     StrictInclusion,
+    Typ,
     _IDENT_RE,
     _Parser,
     _Token,
     _tokenize,
     axiom_to_text,
     is_el_concept,
-    is_rolefree_concept,
+    is_identifier,
     walk,
 )
 from .errors import InputError, ParseError
@@ -71,9 +72,7 @@ __all__ = [
     "parse_kb",
     "serialize_kb",
     "load_kb",
-    "save_kb",
     "validate_kb",
-    "classify_fragment",
 ]
 
 ExtraAxiom = FuzzyInclusion | FuzzyAssertion | ConditionalConstraint | ProbAssertion
@@ -83,11 +82,13 @@ class WeightedKB(Record):
     """A strict TBox, weighted defeasible blocks, and a crisp ABox.
 
     ``defeasible`` holds one entry per distinguished concept, in declaration
-    order inside each block; repeated identical inclusions are kept.  A
-    block keyed by a name that is not distinguished, or holding an
-    inclusion about another subject, is an :class:`InputError`: neither
-    could be written back as ``.wkb`` text, and neither could a
-    non-finite weight.
+    order inside each block; repeated identical inclusions are kept.  Any
+    content that ``.wkb`` text could not write back is an
+    :class:`InputError`: a repeated, reserved or malformed distinguished
+    name, a block keyed by a name that is not distinguished, an inclusion
+    about another subject, a non-finite weight, ``T(...)`` outside the
+    head of a ``def`` body, a degree or probability outside [0, 1], and an
+    empty ``cc`` interval.
     """
 
     _fields = ("distinguished", "strict", "defeasible", "abox", "extra")
@@ -100,21 +101,33 @@ class WeightedKB(Record):
         abox: tuple[Assertion | RoleAssertion, ...] = (),
         extra: tuple[ExtraAxiom, ...] = (),
     ) -> None:
+        if len(set(distinguished)) < len(distinguished):
+            twice = next(n for i, n in enumerate(distinguished) if n in distinguished[:i])
+            raise InputError(f"distinguished name {twice!r} is listed twice")
+        for name in distinguished:
+            if not is_identifier(name):
+                raise InputError(
+                    f"distinguished name {name!r} is reserved or not an identifier"
+                )
         blocks = dict(defeasible or {})
         for name, block in blocks.items():
             if name not in distinguished:
                 raise InputError(f"defeasible block for {name!r} is not distinguished")
             for pos, d in enumerate(block, start=1):
                 if d.subject != name:
-                    raise InputError(
-                        f"defeasible inclusion {pos} in block {name!r} has subject"
-                        f" {d.subject!r}"
-                    )
-                if not math.isfinite(d.weight):
-                    raise InputError(
-                        f"defeasible inclusion {pos} in block {name!r} has a"
-                        f" non-finite weight"
-                    )
+                    problem = f"has subject {d.subject!r}"
+                elif not math.isfinite(d.weight):
+                    problem = "has a non-finite weight"
+                elif _typ_in(d.consequent):
+                    problem = "uses T(...) in its consequent"
+                else:
+                    continue
+                raise InputError(f"defeasible inclusion {pos} in block {name!r} {problem}")
+        for axiom in (*strict, *abox, *extra):
+            problem = _unwritable(axiom)
+            if problem:
+                text = f"{_KEYWORD[type(axiom)]}: {axiom_to_text(axiom)}"
+                raise InputError(f"{text!r} {problem}")
         for name in distinguished:
             blocks.setdefault(name, ())
         self.distinguished = distinguished
@@ -175,6 +188,24 @@ class WeightedKB(Record):
             if isinstance(ax, (FuzzyAssertion, ProbAssertion)):
                 individuals.add(ax.individual)
         return Signature(frozenset(concepts), frozenset(roles), frozenset(individuals))
+
+
+def _typ_in(concept: Concept) -> bool:
+    """Whether ``T(...)`` occurs in the concept; a bare name is answered at once."""
+    return type(concept) is not Name and any(isinstance(n, Typ) for n in walk(concept))
+
+
+def _unwritable(axiom: object) -> str | None:
+    """Why ``.wkb`` text could not hold a strict, ABox or extra axiom, or None."""
+    fields = {f: getattr(axiom, f) for f in type(axiom).__slots__}
+    if any(isinstance(v, Concept) and _typ_in(v) for v in fields.values()):
+        return "uses T(...)"
+    for field in ("degree", "prob", "lower", "upper"):
+        if field in fields and not 0.0 <= fields[field] <= 1.0:
+            return f"has {field} {fields[field]!r} outside [0,1]"
+    if isinstance(axiom, ConditionalConstraint) and axiom.lower > axiom.upper:
+        return "has an empty interval"
+    return None
 
 
 class Diagnostic(Value):
@@ -325,12 +356,8 @@ def load_kb(path: str | Path, keywords: Collection[str] | None = None) -> Weight
     return parse_kb(read_text(path), keywords)
 
 
-def save_kb(kb: WeightedKB, path: str | Path) -> None:
-    Path(path).write_text(serialize_kb(kb), encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
-# Validation and fragment classification
+# Validation
 
 
 def validate_kb(kb: WeightedKB) -> list[Diagnostic]:
@@ -338,8 +365,8 @@ def validate_kb(kb: WeightedKB) -> list[Diagnostic]:
 
     Errors: namespace overlaps.  Warnings: defeasible consequents outside
     the existential-conjunctive fragment.  (:class:`WeightedKB` itself
-    rejects blocks for undeclared subjects, subject mismatches and
-    non-finite weights.)
+    rejects what ``.wkb`` text could not hold, undeclared block subjects,
+    subject mismatches and non-finite weights included.)
     """
     diags: list[Diagnostic] = []
     sig = kb.signature()
@@ -369,17 +396,3 @@ def validate_kb(kb: WeightedKB) -> list[Diagnostic]:
                     )
                 )
     return diags
-
-
-def classify_fragment(kb: WeightedKB) -> str:
-    """Classify the KB's concept language: ``"EL"``, ``"boolean"``, or ``"ALC"``.
-
-    EL means every concept uses only Top, names, conjunction, and exists;
-    boolean means no roles, quantifiers, or nominals occur anywhere.
-    """
-    concepts = kb.all_concepts()
-    if all(is_el_concept(c) for c in concepts):
-        return "EL"
-    if all(is_rolefree_concept(c) for c in concepts):
-        return "boolean"
-    return "ALC"

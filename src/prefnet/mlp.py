@@ -72,10 +72,8 @@ __all__ = [
     "VerificationReport",
     "verify_strict_coherence",
     "verify_weak_coherence",
-    "network_to_json",
     "network_from_json",
     "load_network",
-    "stimuli_to_json",
     "stimuli_from_json",
     "load_stimuli",
 ]
@@ -228,6 +226,9 @@ class Network(Record):
         for cid in self.c_units:
             if cid not in unit_ids:
                 raise InputError(f"designated unit {cid!r} is not a unit id")
+        if len(set(self.c_units)) < len(self.c_units):
+            twice = next(c for i, c in enumerate(self.c_units) if c in self.c_units[:i])
+            raise InputError(f"designated unit {twice!r} is listed twice")
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -607,22 +608,6 @@ def verify_weak_coherence(net: Network, stimuli: StimulusSet) -> VerificationRep
 # JSON interface
 
 
-def network_to_json(net: Network) -> dict:
-    return {
-        "inputs": list(net.inputs),
-        "units": [
-            {
-                "id": u.id,
-                "activation": u.activation,
-                "bias": u.bias,
-                "in": [[src, w] for src, w in u.incoming],
-            }
-            for u in net.units
-        ],
-        "C": list(net.c_units),
-    }
-
-
 def network_from_json(obj: object) -> Network:
     doc = jsonin.obj(obj, (), ("units",), ("inputs", "C"))
     units = []
@@ -649,14 +634,6 @@ def network_from_json(obj: object) -> Network:
 
 def load_network(path: str | Path) -> Network:
     return jsonin.load(path, network_from_json)
-
-
-def stimuli_to_json(stimuli: StimulusSet) -> dict:
-    return {
-        "stimuli": [
-            {"id": sid, "values": dict(stimuli.values[sid])} for sid in stimuli.ids
-        ]
-    }
 
 
 def stimuli_from_json(obj: object) -> StimulusSet:

@@ -87,7 +87,6 @@ __all__ = [
     "CoherenceReport",
     "coherence_report",
     "consistent_valuations",
-    "canonical_crisp_interpretation",
     "counter_model",
     "entails_rolefree",
     "ENUMERATION_LIMIT",
@@ -382,44 +381,31 @@ class CoherenceReport(Record):
         }
 
 
-def _strictly_consistent(pairs: list[tuple[float, float]]) -> bool:
-    """All (weight, degree) pairs agree: weight gaps iff degree gaps."""
+def _consistency(pairs: list[tuple[float, float]]) -> tuple[bool, bool]:
+    """Strict and weak agreement of (weight, degree) pairs, in one pass.
+
+    Sorted by weight, strict needs equal weights to carry equal degrees
+    and each rise in weight to raise the degree; weak lets a rise in weight
+    keep the degree, but no degree may fall.
+    """
     ordered = sorted(pairs, key=lambda p: p[0])
+    strict = True
     for (w0, d0), (w1, d1) in zip(ordered, ordered[1:]):
         if w0 == w1:
             if d0 != d1:
-                return False
+                return False, False
         elif not d1 > d0:
-            return False
-    return True
-
-
-def _weakly_consistent(pairs: list[tuple[float, float]]) -> bool:
-    """Degree gaps force weight gaps: d(x) > d(y) implies w(x) > w(y)."""
-    ordered = sorted(pairs, key=lambda p: p[1])
-    n = len(ordered)
-    suffix_min = [float("inf")] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_min[i] = min(ordered[i][0], suffix_min[i + 1])
-    idx = 0
-    while idx < n:
-        end = idx
-        max_w = NEG_INF
-        while end < n and ordered[end][1] == ordered[idx][1]:
-            max_w = max(max_w, ordered[end][0])
-            end += 1
-        # Everything with a strictly higher degree must outweigh this group.
-        if end < n and not suffix_min[end] > max_w:
-            return False
-        idx = end
-    return True
+            if d0 > d1:
+                return False, False
+            strict = False
+    return strict, True
 
 
 def coherence_report(model: MultiprefModel) -> CoherenceReport:
     """Compare each concept's preference with its membership degrees.
 
-    The verdict flags come from sorted consistency checks per concept, so
-    they are exact even though at most ``MAX_VIOLATIONS`` witnessing pairs
+    The verdict flags come from one sorted pass per concept, so they are
+    exact even though at most ``MAX_VIOLATIONS`` witnessing pairs
     get collected; a pairwise scan runs only for failing concepts.
     """
     violations: list[Violation] = []
@@ -431,11 +417,11 @@ def coherence_report(model: MultiprefModel) -> CoherenceReport:
         weights = model.preferences[name].weights
         member = degrees(model.interp, model.family or ZADEH, Name(name))
         pairs = [(weights[x], d) for x, d in zip(domain, member)]
-        s_ok = _strictly_consistent(pairs)
+        s_ok, w_ok = _consistency(pairs)
         strict_ok = strict_ok and s_ok
+        weak_ok = weak_ok and w_ok
         if s_ok:
             continue
-        weak_ok = weak_ok and _weakly_consistent(pairs)
         if len(violations) >= MAX_VIOLATIONS:
             truncated = True
             continue
@@ -560,23 +546,6 @@ def consistent_valuations(kb: WeightedKB, names: list[str]) -> list[str]:
             # The leading 1 pads the bits to len(names) digits.
             out.append("w" + format(top | base + low.bit_length() - 1, "b")[1:])
     return out
-
-
-def _assignment_interp(names: list[str], elements: list[str]) -> FuzzyInterpretation:
-    """Two-valued interpretation over assignment elements named as above."""
-    return FuzzyInterpretation(
-        domain=tuple(elements),
-        concepts={n: {x: 1.0 for x in elements if x[k + 1] == "1"} for k, n in enumerate(names)},
-    )
-
-
-def canonical_crisp_interpretation(kb: WeightedKB) -> FuzzyInterpretation:
-    """One domain element per strict-TBox-consistent truth assignment."""
-    names = _check_rolefree(kb)
-    elements = consistent_valuations(kb, names)
-    if not elements:
-        raise InputError("the strict TBox is unsatisfiable; no canonical model")
-    return _assignment_interp(names, elements)
 
 
 def counter_model(

@@ -22,7 +22,7 @@ import math
 from pathlib import Path
 
 from . import jsonin
-from .concepts import And, Concept, Name, ProbAssertion
+from .concepts import And, Concept
 from .errors import InputError, UndefinedConditionalError, UndefinedSubsethoodError
 from .fuzzy import (
     EPS_CMP,
@@ -32,7 +32,6 @@ from .fuzzy import (
     degrees,
     eval_concept,
 )
-from .mlp import Network, StimulusSet, forward
 from .values import Record, Value, _set, _set_key
 
 __all__ = [
@@ -42,10 +41,8 @@ __all__ = [
     "conditional_prob",
     "check_conditional",
     "fuzzy_cardinality",
-    "relative_cardinality",
     "subsethood",
     "nominal_conditional",
-    "network_prob_abox",
     "load_distribution",
 ]
 
@@ -87,9 +84,6 @@ class Distribution(Value):
     def from_json(cls, obj: object) -> "Distribution":
         doc = jsonin.obj(obj, (), ("mu",), ())
         return cls(jsonin.obj(doc["mu"], ("mu",), of=jsonin.number))
-
-    def to_json(self) -> dict:
-        return {"mu": dict(self.mu)}
 
 
 def load_distribution(path: str | Path) -> Distribution:
@@ -146,18 +140,6 @@ def fuzzy_cardinality(interp: FuzzyInterpretation, concept: Concept) -> float:
     return sum(degrees(interp, ZADEH, concept))
 
 
-def relative_cardinality(
-    interp: FuzzyInterpretation, left: Concept, given: Concept
-) -> float:
-    """|left and given| / |given| with min conjunction."""
-    denom = fuzzy_cardinality(interp, given)
-    if denom == 0.0:
-        raise UndefinedConditionalError(
-            f"conditioning concept {given} has zero cardinality"
-        )
-    return fuzzy_cardinality(interp, And(left, given)) / denom
-
-
 def subsethood(
     interp: FuzzyInterpretation, left: Concept, right: Concept
 ) -> float:
@@ -182,17 +164,3 @@ def nominal_conditional(fpi: FuzzyProbInterp, concept: Concept, individual: str)
             f"individual {individual!r} carries probability zero"
         )
     return eval_concept(fpi.interp, fpi.family, concept, elem)
-
-
-def network_prob_abox(net: Network, stimuli: StimulusSet) -> list[ProbAssertion]:
-    """One probabilistic assertion per unit and stimulus: P(C_k(x))[y_k(x)].
-
-    Activities are read as the probabilities that the unit's concept
-    applies to the stimulus, with stimulus ids doubling as individuals.
-    """
-    table = forward(net, stimuli)
-    out: list[ProbAssertion] = []
-    for u in net.units:
-        for sid in stimuli.ids:
-            out.append(ProbAssertion(Name(u.id), sid, table.activity[sid][u.id]))
-    return out

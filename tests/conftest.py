@@ -4,9 +4,9 @@ from prefnet import (
     FuzzyInterpretation,
     WeightedKB,
     build_preferences,
-    crisp_interpretation,
     parse_kb,
 )
+from genutil import crisp_interpretation
 
 EMPLOYEE_KB_TEXT = """\
 distinguished: Employee, Student

@@ -5,7 +5,10 @@ set_extension works on plain Python sets, bool_eval on dict valuations,
 oracle_crisp_weight/oracle_minimal redo the preference arithmetic from
 scratch, and oracle_eval_concept evaluates one element at a time by
 plain recursion, quantifiers scanning the whole domain.  oracle_tokenize
-is the character-by-character scanner the regex tokenizer replaced.
+is the character-by-character scanner the regex tokenizer replaced, and
+relative_cardinality is the sigma-count ratio that conditional_prob must
+equal under the uniform distribution.  crisp_interpretation,
+network_to_json and stimuli_to_json build and write test fixtures.
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ from prefnet import (
     TOP,
     Top,
     Typ,
+    UndefinedConditionalError,
     Unit,
     WeightedKB,
-    crisp_interpretation,
+    fuzzy_cardinality,
 )
 from prefnet.concepts import _Token
 
@@ -198,6 +202,29 @@ def random_full_kb(rng: random.Random) -> WeightedKB:
     return WeightedKB(distinguished, strict, defeasible, abox, tuple(extra))
 
 
+def crisp_interpretation(
+    domain: tuple[str, ...] | list[str],
+    concept_members: dict[str, set[str] | list[str] | tuple[str, ...]] | None = None,
+    role_pairs: dict[str, set | list | tuple] | None = None,
+    individuals: dict[str, str] | None = None,
+) -> FuzzyInterpretation:
+    """Build a two-valued interpretation from membership sets."""
+    concepts = {
+        name: {elem: 1.0 for elem in members}
+        for name, members in (concept_members or {}).items()
+    }
+    roles = {
+        name: {(x, y): 1.0 for (x, y) in pairs}
+        for name, pairs in (role_pairs or {}).items()
+    }
+    return FuzzyInterpretation(
+        domain=tuple(domain),
+        concepts=concepts,
+        roles=roles,
+        individuals=dict(individuals or {}),
+    )
+
+
 def random_crisp_interp(
     rng: random.Random,
     concept_names: list[str],
@@ -320,6 +347,30 @@ def random_stimuli(
         sid: {inp: rng.random() for inp in net.inputs} for sid in ids
     }
     return StimulusSet(ids=ids, values=values)
+
+
+def network_to_json(net: Network) -> dict:
+    return {
+        "inputs": list(net.inputs),
+        "units": [
+            {
+                "id": u.id,
+                "activation": u.activation,
+                "bias": u.bias,
+                "in": [[src, w] for src, w in u.incoming],
+            }
+            for u in net.units
+        ],
+        "C": list(net.c_units),
+    }
+
+
+def stimuli_to_json(stimuli: StimulusSet) -> dict:
+    return {
+        "stimuli": [
+            {"id": sid, "values": dict(stimuli.values[sid])} for sid in stimuli.ids
+        ]
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +543,18 @@ def oracle_minimal(
         for x in candidates
         if not any(dominates(y, x) for y in candidates if y != x)
     }
+
+
+def relative_cardinality(
+    interp: FuzzyInterpretation, left: Concept, given: Concept
+) -> float:
+    """|left and given| / |given| with min conjunction."""
+    denom = fuzzy_cardinality(interp, given)
+    if denom == 0.0:
+        raise UndefinedConditionalError(
+            f"conditioning concept {given} has zero cardinality"
+        )
+    return fuzzy_cardinality(interp, And(left, given)) / denom
 
 
 # ---------------------------------------------------------------------------

@@ -24,20 +24,19 @@ from prefnet import (
     build_preferences,
     coherence_report,
     conditional_prob,
-    crisp_interpretation,
     crisp_weight,
     entails_rolefree,
     fuzzy_cardinality,
     fuzzy_event_prob,
     fuzzy_weight,
     nominal_conditional,
-    relative_cardinality,
     typicality_global,
     verify_strict_coherence,
     verify_weak_coherence,
 )
 from prefnet.preferences import _dominates
 from genutil import (
+    crisp_interpretation,
     duplicate_element,
     random_boolean_concept,
     random_crisp_interp,
@@ -45,6 +44,7 @@ from genutil import (
     random_fuzzy_interp,
     random_rolefree_kb,
     random_stimuli,
+    relative_cardinality,
 )
 
 

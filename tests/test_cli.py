@@ -417,6 +417,19 @@ def test_mlp_extract_kb_parses(capsys, net_file):
     assert len(kb.defaults_for("h1")) == 3  # bias + two synapses
 
 
+def test_mlp_rejects_a_net_that_designates_a_unit_twice(capsys, tmp_path, net_file, stim_file):
+    # Such a net used to print "distinguished: h1, h1", which validate rejects,
+    # and made verify check every pair of the repeated unit twice.
+    blob = json.loads(Path(net_file).read_text(encoding="utf-8"))
+    blob["C"] = ["h1", "h1"]
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    for argv in (("extract-kb",), ("verify", "--stimuli", stim_file)):
+        code, out, err = run(capsys, "mlp", *argv, "--net", str(path))
+        assert (code, out) == (2, "")
+        assert "designated unit 'h1' is listed twice" in json.loads(err)["error"]
+
+
 def test_mlp_verify_ok(capsys, net_file, stim_file):
     code, out, _ = run(
         capsys, "mlp", "verify", "--net", net_file, "--stimuli", stim_file

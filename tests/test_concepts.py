@@ -28,7 +28,6 @@ from prefnet import (
     is_rolefree_concept,
     parse_concept,
     parse_query_axiom,
-    role_names_in,
 )
 from prefnet.concepts import MAX_DEPTH, _tokenize
 from genutil import oracle_tokenize, random_alc_concept
@@ -218,7 +217,6 @@ def test_fragment_predicates():
 def test_name_collectors():
     c = parse_concept("exists r.(A and not B) or {tom}")
     assert concept_names_in(c) == {"A", "B"}
-    assert role_names_in(c) == {"r"}
 
 
 def test_serializer_minimal_parens():

@@ -14,12 +14,16 @@ from prefnet import (
     interpretation_from_json,
     interpretation_to_json,
     network_from_json,
-    network_to_json,
     stimuli_from_json,
-    stimuli_to_json,
 )
 from prefnet.jsonin import read_json, where
-from genutil import random_feedforward_net, random_fuzzy_interp, random_stimuli
+from genutil import (
+    network_to_json,
+    random_feedforward_net,
+    random_fuzzy_interp,
+    random_stimuli,
+    stimuli_to_json,
+)
 
 FIELDS = [
     "units", "inputs", "C", "id", "activation", "bias", "in", "stimuli",

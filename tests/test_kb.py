@@ -1,21 +1,28 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefnet import (
+    And,
     Assertion,
+    ConditionalConstraint,
     DefeasibleInclusion,
+    FuzzyAssertion,
+    FuzzyInclusion,
     InputError,
     Name,
+    Not,
     ParseError,
+    ProbAssertion,
     RoleAssertion,
+    StrictInclusion,
+    Typ,
     WeightedKB,
-    classify_fragment,
     load_kb,
     parse_kb,
-    save_kb,
     serialize_kb,
     validate_kb,
 )
@@ -134,7 +141,7 @@ def test_serialize_round_trip(employee_kb, employee_kb_text):
 
 def test_save_load_round_trip(tmp_path, employee_kb):
     path = tmp_path / "kb.wkb"
-    save_kb(employee_kb, path)
+    path.write_text(serialize_kb(employee_kb), encoding="utf-8")
     assert load_kb(path) == employee_kb
 
 
@@ -163,6 +170,75 @@ def test_weighted_kb_accepts_only_what_serialize_kb_writes_back():
     kb = WeightedKB(distinguished=("A", "B"), defeasible={"B": (stray,)})
     assert kb.defeasible == {"A": (), "B": (stray,)}
     assert parse_kb(serialize_kb(kb)) == kb
+
+
+A, B, C = Name("A"), Name("B"), Name("C")
+
+
+@pytest.mark.parametrize(
+    "parts, text, message",
+    [
+        ({"distinguished": ("A", "A")}, "distinguished: A, A", "'A' is listed twice"),
+        ({"distinguished": ("and",)}, "distinguished: and", "'and' is reserved or not"),
+        ({"distinguished": ("a b",)}, "distinguished: a b", "'a b' is reserved or not"),
+        (
+            {"strict": (StrictInclusion(Typ(A), B),)},
+            "strict: T(A) [= B",
+            "'strict: T(A) [= B' uses T(...)",
+        ),
+        (
+            {"distinguished": ("A",),
+             "defeasible": {"A": (DefeasibleInclusion("A", And(B, Typ(C)), 1.0),)}},
+            "distinguished: A\ndef(A): T(A) [= B and T(C) @ 1",
+            "inclusion 1 in block 'A' uses T(...) in its consequent",
+        ),
+        (
+            {"abox": (Assertion(Typ(A), "tom"),)},
+            "assert: T(A)(tom)",
+            "uses T(...)",
+        ),
+        (
+            {"extra": (FuzzyInclusion(Not(Typ(A)), B, ">=", 0.5),)},
+            "fuzzy: not T(A) [= B >= 0.5",
+            "uses T(...)",
+        ),
+        (
+            {"extra": (FuzzyInclusion(A, B, ">=", 2.0),)},
+            "fuzzy: A [= B >= 2",
+            "has degree 2.0 outside",
+        ),
+        (
+            {"extra": (FuzzyInclusion(A, B, ">=", float("nan")),)},
+            "fuzzy: A [= B >= nan",
+            "has degree nan outside",
+        ),
+        (
+            {"extra": (FuzzyAssertion(A, "tom", ">", -0.5),)},
+            "fuzzy-assert: A(tom) > -0.5",
+            "has degree -0.5 outside",
+        ),
+        (
+            {"extra": (ProbAssertion(A, "tom", 1.5),)},
+            "passert: P(A(tom))[1.5]",
+            "has prob 1.5 outside",
+        ),
+        (
+            {"extra": (ConditionalConstraint(A, B, 0.9, 0.1),)},
+            "cc: (A | B)[0.9,0.1]",
+            "'cc: (A | B)[0.9,0.1]' has an empty interval",
+        ),
+    ],
+    ids=[
+        "duplicate-name", "reserved-name", "non-identifier-name", "typ-in-strict",
+        "typ-in-def-consequent", "typ-in-assertion", "typ-in-extra", "fuzzy-degree",
+        "nan-degree", "fuzzy-assert-degree", "passert-prob", "empty-cc",
+    ],
+)
+def test_weighted_kb_rejects_what_parse_kb_would_not_read_back(parts, text, message):
+    with pytest.raises(ParseError):
+        parse_kb(text)
+    with pytest.raises(InputError, match=re.escape(message)):
+        WeightedKB(**parts)
 
 
 def test_every_statement_form_round_trips():
@@ -242,22 +318,6 @@ def test_validate_is_deterministic():
     first = validate_kb(kb)
     second = validate_kb(kb)
     assert first == second
-
-
-def test_classify_el(employee_kb):
-    assert classify_fragment(employee_kb) == "EL"
-
-
-def test_classify_boolean():
-    kb = parse_kb("distinguished: A\ndef(A): T(A) [= not B @ 1")
-    assert classify_fragment(kb) == "boolean"
-
-
-def test_classify_alc():
-    kb = parse_kb("distinguished: A\ndef(A): T(A) [= forall r.B @ 1")
-    assert classify_fragment(kb) == "ALC"
-    kb = parse_kb("distinguished: A\ndef(A): T(A) [= not exists r.B @ 1")
-    assert classify_fragment(kb) == "ALC"
 
 
 def test_extra_statements_round_trip():

@@ -6,6 +6,7 @@ import pytest
 from prefnet import (
     ACTIVATIONS,
     ActivationPreconditionError,
+    InputError,
     Name,
     NEG_INF,
     Network,
@@ -22,15 +23,18 @@ from prefnet import (
     fuzzy_weight,
     get_activation,
     network_from_json,
-    network_to_json,
     serialize_kb,
     stimuli_from_json,
-    stimuli_to_json,
     verify_strict_coherence,
     verify_weak_coherence,
 )
 from prefnet import mlp
-from genutil import random_feedforward_net, random_stimuli
+from genutil import (
+    network_to_json,
+    random_feedforward_net,
+    random_stimuli,
+    stimuli_to_json,
+)
 
 
 def single_unit(activation: str, bias: float, weight: float) -> Network:
@@ -478,6 +482,12 @@ def test_network_validation():
             units=(Unit(id="u", activation="sigmoid", bias=0.0, incoming=()),),
             c_units=("other",),
         )
+
+
+def test_network_rejects_a_repeated_designated_unit():
+    unit = Unit(id="u", activation="sigmoid", bias=0.0, incoming=(("x", 1.0),))
+    with pytest.raises(InputError, match="designated unit 'u' is listed twice"):
+        Network(inputs=("x",), units=(unit,), c_units=("u", "u"))
 
 
 def test_stimulus_validation():

@@ -27,13 +27,11 @@ from prefnet import (
     ZADEH,
     build_fuzzy_interp,
     build_preferences,
-    canonical_crisp_interpretation,
     check_typicality_axiom,
     coherence_report,
     concept_names_in,
     consistent_valuations,
     counter_model,
-    crisp_interpretation,
     crisp_weight,
     entails_rolefree,
     extract_kb,
@@ -49,6 +47,7 @@ from prefnet import (
 from prefnet import ENUMERATION_LIMIT, preferences
 from genutil import (
     bool_eval,
+    crisp_interpretation,
     duplicate_element,
     interp_to_sets,
     oracle_crisp_weight,
@@ -533,19 +532,6 @@ def test_consistent_valuations_check_every_strict_inclusion():
         kb = WeightedKB(strict=strict)
         assert consistent_valuations(kb, names) == expected
     assert later_inclusion_excludes
-
-
-def test_canonical_interpretation_names_elements():
-    kb = parse_kb("distinguished: A\ndef(A): T(A) [= B @ 1")
-    interp = canonical_crisp_interpretation(kb)
-    assert len(interp.domain) == 4
-    assert set(interp.domain) == {"w00", "w01", "w10", "w11"}
-
-
-def test_canonical_interpretation_unsat():
-    kb = parse_kb("distinguished: A\nstrict: Top [= Bottom\ndef(A): T(A) [= A @ 1")
-    with pytest.raises(ValueError):
-        canonical_crisp_interpretation(kb)
 
 
 def test_entailment_basics():

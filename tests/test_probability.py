@@ -12,16 +12,13 @@ from prefnet import (
     UndefinedSubsethoodError,
     check_conditional,
     conditional_prob,
-    crisp_interpretation,
     fuzzy_cardinality,
     fuzzy_event_prob,
-    network_prob_abox,
     nominal_conditional,
     parse_concept,
-    relative_cardinality,
     subsethood,
 )
-from genutil import random_fuzzy_interp
+from genutil import crisp_interpretation, random_fuzzy_interp, relative_cardinality
 
 
 @pytest.fixture
@@ -203,18 +200,3 @@ def test_crisp_case_is_counting():
     fpi = FuzzyProbInterp(interp=interp, dist=Distribution.uniform(interp.domain))
     assert fuzzy_event_prob(fpi, Name("E")) == pytest.approx(0.75)
 
-
-def test_network_prob_abox():
-    from genutil import random_feedforward_net, random_stimuli
-    from prefnet import forward
-
-    rng = random.Random(81)
-    net = random_feedforward_net(rng)
-    st = random_stimuli(rng, net, 4)
-    abox = network_prob_abox(net, st)
-    assert len(abox) == len(net.units) * len(st.ids)
-    table = forward(net, st)
-    for ax in abox:
-        assert ax.prob == table.activity[ax.individual][ax.concept.name]
-    unit_names = {u.id for u in net.units}
-    assert {ax.concept.name for ax in abox} <= unit_names

@@ -41,7 +41,6 @@ from prefnet import (
     kb,
     mlp,
     network_from_json,
-    network_to_json,
     parse_concept,
     parse_kb,
     parse_query_axiom,
@@ -49,18 +48,19 @@ from prefnet import (
     probability,
     serialize_kb,
     stimuli_from_json,
-    stimuli_to_json,
     validate_kb,
     verify_weak_coherence,
 )
 from dataclass_oracle import ORACLES, to_oracle
 from genutil import (
+    network_to_json,
     random_alc_concept,
     random_feedforward_net,
     random_full_kb,
     random_fuzzy_interp,
     random_rolefree_kb,
     random_stimuli,
+    stimuli_to_json,
 )
 
 MODULES = (concepts, fuzzy, kb, preferences, mlp, probability)
