@@ -170,6 +170,9 @@ class WeightedKB(Record):
         roles: set[str] = set()
         individuals: set[str] = set()
         for c in self.all_concepts():
+            if type(c) is Name:
+                concepts.add(c.name)
+                continue
             for node in walk(c):
                 if isinstance(node, Name):
                     concepts.add(node.name)

@@ -29,6 +29,17 @@ weight construction the block total reproduces ``u_k(x)`` exactly wherever
 * strictly increasing activations with range inside (0, 1] must yield a
   fully coherent model,
 * monotone non-decreasing activations must yield a weakly coherent one.
+
+The fold contract.  Verification computes every sum twice, as a field in
+:func:`forward` and as a block weight in ``preferences._weights``, and
+they must agree bit for bit.  Both fold left to right in listed order with
+plain ``+=``: the field from the bias, the weight from ``0.0`` plus the
+bias's ``Top`` default, which is the same float.  Neither may use
+``sum()``: from Python 3.12 it sums floats with compensation, so
+``sum([1e16, 1.0, -1e16])`` is ``1.0`` where the fold gives ``0.0``.
+``tests/fold_guard.py`` checks the contract on every interpreter at
+hand.  On a cyclic net the recorded field comes from the state before the
+settling pass, so there the two agree only within ``EPS_CMP``.
 """
 
 from __future__ import annotations
@@ -282,6 +293,12 @@ class StimulusSet(Record):
                     )
 
     def check_against(self, net: Network) -> None:
+        """Every row assigns exactly the net's inputs.
+
+        A row's first missing input is reported before its first unknown
+        key, each in its own order.
+        """
+        inputs = set(net.inputs)
         for sid in self.ids:
             row = self.values[sid]
             for inp in net.inputs:
@@ -290,7 +307,7 @@ class StimulusSet(Record):
                         f"stimulus {sid!r} assigns no value to input {inp!r}"
                     )
             for key in row:
-                if key not in net.inputs:
+                if key not in inputs:
                     raise InputError(
                         f"stimulus {sid!r} assigns a value to unknown input {key!r}"
                     )
@@ -328,11 +345,13 @@ def _clamp01(v: float) -> float:
     return min(1.0, max(0.0, v))
 
 
-def _field(unit: Unit, signals: dict[str, float]) -> float:
+def _field(
+    bias: float, synapses: tuple[tuple[int, float], ...], signals: list[float]
+) -> float:
     """The induced field ``bias + sum_j w_kj * s_j``, folded left to right."""
-    total = unit.bias
-    for src, w in unit.incoming:
-        total += w * signals[src]
+    total = bias
+    for q, w in synapses:
+        total += w * signals[q]
     return total
 
 
@@ -348,36 +367,58 @@ def forward(net: Network, stimuli: StimulusSet) -> ActivityTable:
     failing with :class:`NonConvergenceError` at the iteration cap; the
     recorded fields are recomputed at the fixed point so ``y = phi(u)``
     holds exactly.
+
+    Each unit is resolved once into its position among the signals, its
+    bias, its synapses as ``(source position, weight)`` and its activation
+    function; a stimulus then runs over one flat list of signals, inputs
+    first, then units in evaluation order, which is also the key order of
+    the recorded rows.
     """
     stimuli.check_against(net)
     order = net.topological_units()
-    phi = {u.id: get_activation(u.activation).fn for u in net.units}
+    cyclic = order is None
+    if cyclic:
+        order = list(net.units)
+    n_in = len(net.inputs)
+    keys = net.inputs + tuple(u.id for u in order)
+    position = {node: p for p, node in enumerate(keys)}
+    plan = [
+        (
+            position[u.id],
+            u.bias,
+            tuple((position[src], w) for src, w in u.incoming),
+            get_activation(u.activation).fn,
+        )
+        for u in order
+    ]
+    unit_keys = keys[n_in:]
+    idle = [0.0] * len(plan)
     activity: dict[str, dict[str, float]] = {}
     induced: dict[str, dict[str, float]] = {}
     for sid in stimuli.ids:
-        signals = {inp: _clamp01(stimuli.values[sid][inp]) for inp in net.inputs}
-        fields: dict[str, float] = {}
-        if order is not None:
-            for u in order:
-                fields[u.id] = total = _field(u, signals)
-                signals[u.id] = phi[u.id](total)
+        row = stimuli.values[sid]
+        signals = [_clamp01(row[inp]) for inp in net.inputs] + idle
+        if not cyclic:
+            fields = []
+            for p, total, synapses, fn in plan:
+                for q, w in synapses:
+                    total += w * signals[q]
+                fields.append(total)
+                signals[p] = fn(total)
         else:
-            for u in net.units:
-                signals[u.id] = 0.0
             for _ in range(MAX_ITERATIONS):
-                new = {u.id: phi[u.id](_field(u, signals)) for u in net.units}
-                delta = max(abs(y - signals[k]) for k, y in new.items())
-                signals.update(new)
+                new = [fn(_field(b, syn, signals)) for _p, b, syn, fn in plan]
+                delta = max(abs(y - s) for y, s in zip(new, signals[n_in:]))
+                signals[n_in:] = new
                 if delta < EPS_CMP:
                     break
             else:
                 raise NonConvergenceError(sid, MAX_ITERATIONS, delta)
             # One settling pass so recorded pairs satisfy y = phi(u) exactly.
-            fields = {u.id: _field(u, signals) for u in net.units}
-            for u in net.units:
-                signals[u.id] = phi[u.id](fields[u.id])
-        activity[sid] = dict(signals)
-        induced[sid] = fields
+            fields = [_field(b, syn, signals) for _p, b, syn, _fn in plan]
+            signals[n_in:] = [fn(u) for (_p, _b, _s, fn), u in zip(plan, fields)]
+        activity[sid] = dict(zip(keys, signals))
+        induced[sid] = dict(zip(unit_keys, fields))
     return ActivityTable(
         stimuli=stimuli.ids, activity=activity, induced_field=induced
     )
@@ -467,6 +508,7 @@ def extract_kb(net: Network) -> WeightedKB:
     term for term.
     """
     units = {u.id: u for u in net.units}
+    names = {node: Name(node) for node in net.node_ids}
     blocks: dict[str, tuple[DefeasibleInclusion, ...]] = {}
     for cid in net.c_units:
         unit = units[cid]
@@ -474,7 +516,7 @@ def extract_kb(net: Network) -> WeightedKB:
         if unit.bias != 0.0:
             block.append(DefeasibleInclusion(cid, TOP, unit.bias))
         for src, w in unit.incoming:
-            block.append(DefeasibleInclusion(cid, Name(src), w))
+            block.append(DefeasibleInclusion(cid, names[src], w))
         blocks[cid] = tuple(block)
     return WeightedKB(distinguished=net.c_units, defeasible=blocks)
 

@@ -43,6 +43,7 @@ over the distinct vectors.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import repeat
 from operator import ge
 
 from .concepts import (
@@ -130,14 +131,26 @@ def fuzzy_weight(
 def _weights(
     kb: WeightedKB, interp: FuzzyInterpretation, family: LogicFamily, concept_name: str
 ) -> list[float]:
-    """``fuzzy_weight`` at every element, in domain order."""
+    """``fuzzy_weight`` at every element, in domain order.
+
+    The block's weights and consequent degree columns are gathered once;
+    each element's row then folds from 0.0 in block order.
+    """
     _require_distinguished(kb, concept_name)
     member = degrees(interp, family, Name(concept_name))
-    totals = [0.0] * len(member)
-    for d in kb.defaults_for(concept_name):
-        w = d.weight
-        totals = [t + w * c for t, c in zip(totals, degrees(interp, family, d.consequent))]
-    return [NEG_INF if m == 0.0 else t for m, t in zip(member, totals)]
+    block = kb.defaults_for(concept_name)
+    ws = [d.weight for d in block]
+    cols = [degrees(interp, family, d.consequent) for d in block]
+    out = []
+    for m, row in zip(member, zip(*cols) if cols else repeat(())):
+        if m == 0.0:
+            out.append(NEG_INF)
+            continue
+        total = 0.0
+        for w, c in zip(ws, row):
+            total += w * c
+        out.append(total)
+    return out
 
 
 def _require_distinguished(kb: WeightedKB, concept_name: str) -> None:

@@ -7,8 +7,12 @@ scratch, and oracle_eval_concept evaluates one element at a time by
 plain recursion, quantifiers scanning the whole domain.  oracle_tokenize
 is the character-by-character scanner the regex tokenizer replaced, and
 relative_cardinality is the sigma-count ratio that conditional_prob must
-equal under the uniform distribution.  crisp_interpretation,
-network_to_json and stimuli_to_json build and write test fixtures.
+equal under the uniform distribution.  oracle_forward (dicts keyed by
+node name) and oracle_weights (one running-total list per default) are
+the slower forms of ``mlp.forward`` and ``preferences._weights`` that
+must agree with them bit for bit.
+crisp_interpretation, network_to_json and stimuli_to_json build and write
+test fixtures.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from prefnet import (
     LogicFamily,
     Name,
     Network,
+    NonConvergenceError,
     Nominal,
     Not,
     Or,
@@ -49,7 +54,11 @@ from prefnet import (
     WeightedKB,
     fuzzy_cardinality,
 )
+from prefnet import mlp
 from prefnet.concepts import _Token
+from prefnet.fuzzy import EPS_CMP, degrees
+from prefnet.mlp import ActivityTable, get_activation
+from prefnet.preferences import _require_distinguished
 
 NEG_INF = float("-inf")
 
@@ -339,12 +348,47 @@ def random_feedforward_net(
     )
 
 
+def random_cyclic_net(
+    rng: random.Random,
+    activation: str = "sigmoid",
+    max_layers: int = 3,
+    max_width: int = 6,
+) -> Network:
+    """A layered net whose last layer feeds back into the first hidden layer.
+
+    Each first-layer unit gets one extra synapse, weight in +-0.3, from a
+    random last-layer unit, as the benchmark's cyclic nets do; weights stay
+    small enough that sigmoid and hard-sigmoid updates contract.
+    """
+    base = random_feedforward_net(
+        rng, activation, min_layers=2, max_layers=max_layers,
+        max_width=max_width, weight_span=1.0,
+    )
+    layers: dict[str, list[Unit]] = {}
+    for u in base.units:
+        layers.setdefault(u.id.split("_")[0], []).append(u)
+    first, last = list(layers.values())[0], list(layers.values())[-1]
+    feedback = {
+        u.id: (rng.choice(last).id, rng.uniform(-0.3, 0.3)) for u in first
+    }
+    units = tuple(
+        Unit(u.id, u.activation, u.bias, u.incoming + (feedback[u.id],))
+        if u.id in feedback
+        else u
+        for u in base.units
+    )
+    return Network(inputs=base.inputs, units=units, c_units=base.c_units)
+
+
 def random_stimuli(
-    rng: random.Random, net: Network, count: int
+    rng: random.Random, net: Network, count: int, spread: float = 0.0
 ) -> StimulusSet:
+    """Values uniform in [-spread, 1 + spread]; out-of-range ones get clamped."""
     ids = tuple(f"s{i}" for i in range(count))
     values = {
-        sid: {inp: rng.random() for inp in net.inputs} for sid in ids
+        sid: {inp: rng.uniform(-spread, 1.0 + spread) if spread else rng.random()
+              for inp in net.inputs}
+        for sid in ids
     }
     return StimulusSet(ids=ids, values=values)
 
@@ -543,6 +587,62 @@ def oracle_minimal(
         for x in candidates
         if not any(dominates(y, x) for y in candidates if y != x)
     }
+
+
+def _oracle_field(unit: Unit, signals: dict[str, float]) -> float:
+    """The induced field ``bias + sum_j w_kj * s_j``, folded left to right."""
+    total = unit.bias
+    for src, w in unit.incoming:
+        total += w * signals[src]
+    return total
+
+
+def oracle_forward(net: Network, stimuli: StimulusSet) -> ActivityTable:
+    """``mlp.forward`` over dicts keyed by node name, one unit at a time."""
+    stimuli.check_against(net)
+    order = net.topological_units()
+    phi = {u.id: get_activation(u.activation).fn for u in net.units}
+    activity: dict[str, dict[str, float]] = {}
+    induced: dict[str, dict[str, float]] = {}
+    for sid in stimuli.ids:
+        signals = {
+            inp: min(1.0, max(0.0, stimuli.values[sid][inp])) for inp in net.inputs
+        }
+        fields: dict[str, float] = {}
+        if order is not None:
+            for u in order:
+                fields[u.id] = total = _oracle_field(u, signals)
+                signals[u.id] = phi[u.id](total)
+        else:
+            for u in net.units:
+                signals[u.id] = 0.0
+            for _ in range(mlp.MAX_ITERATIONS):
+                new = {u.id: phi[u.id](_oracle_field(u, signals)) for u in net.units}
+                delta = max(abs(y - signals[k]) for k, y in new.items())
+                signals.update(new)
+                if delta < EPS_CMP:
+                    break
+            else:
+                raise NonConvergenceError(sid, mlp.MAX_ITERATIONS, delta)
+            fields = {u.id: _oracle_field(u, signals) for u in net.units}
+            for u in net.units:
+                signals[u.id] = phi[u.id](fields[u.id])
+        activity[sid] = dict(signals)
+        induced[sid] = fields
+    return ActivityTable(stimuli=stimuli.ids, activity=activity, induced_field=induced)
+
+
+def oracle_weights(
+    kb: WeightedKB, interp: FuzzyInterpretation, family: LogicFamily, concept_name: str
+) -> list[float]:
+    """``preferences._weights`` with one running-total list per default."""
+    _require_distinguished(kb, concept_name)
+    member = degrees(interp, family, Name(concept_name))
+    totals = [0.0] * len(member)
+    for d in kb.defaults_for(concept_name):
+        w = d.weight
+        totals = [t + w * c for t, c in zip(totals, degrees(interp, family, d.consequent))]
+    return [NEG_INF if m == 0.0 else t for m, t in zip(member, totals)]
 
 
 def relative_cardinality(

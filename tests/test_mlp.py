@@ -6,6 +6,7 @@ import pytest
 from prefnet import (
     ACTIVATIONS,
     ActivationPreconditionError,
+    EPS_CMP,
     InputError,
     Name,
     NEG_INF,
@@ -31,6 +32,8 @@ from prefnet import (
 from prefnet import mlp
 from genutil import (
     network_to_json,
+    oracle_forward,
+    random_cyclic_net,
     random_feedforward_net,
     random_stimuli,
     stimuli_to_json,
@@ -231,17 +234,12 @@ def test_recurrent_convergence():
     )
 
 
-def test_nonconvergence_raises(monkeypatch):
-    # linear-clamp with gain 4 oscillates between the saturation points
-    net = Network(
+def _oscillating_net() -> Network:
+    # linear-clamp with gain 4 flips between the saturation points 0 and 1.
+    return Network(
         inputs=("x",),
         units=(
-            Unit(
-                id="a",
-                activation="linear-clamp",
-                bias=2.0,
-                incoming=(("b", -4.0),),
-            ),
+            Unit(id="a", activation="linear-clamp", bias=2.0, incoming=(("b", -4.0),)),
             Unit(
                 id="b",
                 activation="linear-clamp",
@@ -251,6 +249,10 @@ def test_nonconvergence_raises(monkeypatch):
         ),
         c_units=("a", "b"),
     )
+
+
+def test_nonconvergence_raises(monkeypatch):
+    net = _oscillating_net()
     monkeypatch.setattr(mlp, "MAX_ITERATIONS", 200)
     with pytest.raises(NonConvergenceError, match="200 iterations") as caught:
         forward(net, one_stimulus_for(net, 0.5))
@@ -271,6 +273,87 @@ def test_cycle_detection():
         c_units=("a",),
     )
     assert net.topological_units() is None
+
+
+def _run(fn, net, stimuli):
+    try:
+        return fn(net, stimuli)
+    except NonConvergenceError as e:
+        return ("no convergence", e.stimulus, e.iterations, e.last_delta.hex())
+
+
+def _bits(table):
+    """A table's rows with their key order and every float's exact bits."""
+    if isinstance(table, tuple):
+        return table
+    return table.stimuli, [
+        [(k, v.hex()) for k, v in rows[sid].items()]
+        for rows in (table.activity, table.induced_field)
+        for sid in table.stimuli
+    ]
+
+
+def test_forward_matches_the_dict_oracle_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(mlp, "MAX_ITERATIONS", 60)
+    rng = random.Random(71)
+    nets = [_oscillating_net()]
+    for activation in ACTIVATIONS:
+        for make in (random_feedforward_net, random_cyclic_net):
+            nets += [make(rng, activation, max_layers=3, max_width=5) for _ in range(6)]
+    for net in nets:
+        st = random_stimuli(rng, net, rng.randint(1, 6), spread=0.5)
+        assert _bits(_run(forward, net, st)) == _bits(_run(oracle_forward, net, st))
+    assert isinstance(_run(forward, nets[0], one_stimulus_for(nets[0], 0.5)), tuple)
+
+
+# ---------------------------------------------------------------------------
+# Recurrent nets at their stationary state
+
+
+def _assert_stationary_identity(net: Network, stimuli: StimulusSet) -> None:
+    """Every recorded pair has y = phi(u) bit for bit, and each block weight
+    agrees with the recorded field within ``EPS_CMP``: the field comes from
+    the state before the settling pass, the weight (a refold over the
+    recorded activities) from the state after it."""
+    table = forward(net, stimuli)
+    interp = build_fuzzy_interp(net, stimuli, table)
+    model = build_preferences(extract_kb(net), interp, ZADEH)
+    for u in net.units:
+        phi = get_activation(u.activation).fn
+        weights = model.preferences[u.id].weights
+        for sid in stimuli.ids:
+            act = table.activity[sid]
+            assert act[u.id] == phi(table.u(sid, u.id))
+            if act[u.id] == 0.0:
+                assert weights[sid] == NEG_INF
+                continue
+            refold = u.bias
+            for src, w in u.incoming:
+                refold += w * act[src]
+            assert weights[sid] == refold
+            assert abs(weights[sid] - table.u(sid, u.id)) <= EPS_CMP
+
+
+def test_cyclic_sigmoid_nets_are_strictly_coherent():
+    rng = random.Random(72)
+    for _ in range(12):
+        net = random_cyclic_net(rng, "sigmoid")
+        assert net.topological_units() is None
+        stimuli = random_stimuli(rng, net, 8, spread=0.5)
+        report = verify_strict_coherence(net, stimuli)
+        assert report.ok and report.coherence.coherent
+        _assert_stationary_identity(net, stimuli)
+
+
+def test_cyclic_hard_sigmoid_nets_are_weakly_coherent():
+    rng = random.Random(73)
+    for _ in range(12):
+        net = random_cyclic_net(rng, "hard-sigmoid")
+        assert net.topological_units() is None
+        stimuli = random_stimuli(rng, net, 8, spread=0.5)
+        report = verify_weak_coherence(net, stimuli)
+        assert report.ok and report.coherence.weakly_coherent
+        _assert_stationary_identity(net, stimuli)
 
 
 # ---------------------------------------------------------------------------
@@ -495,3 +578,19 @@ def test_stimulus_validation():
     st = StimulusSet(ids=("s",), values={"s": {}})
     with pytest.raises(ValueError):
         forward(net, st)
+
+
+def test_stimulus_errors_name_the_first_key_in_row_order():
+    net = Network(
+        inputs=("a", "b"),
+        units=(Unit(id="u", activation="sigmoid", incoming=(("a", 1.0),)),),
+    )
+    # Both orders of the two unknown keys, so no set order can pass for both.
+    for first, second in (("zeta", "alpha"), ("alpha", "zeta")):
+        row = {first: 0.0, "a": 0.1, second: 0.2, "b": 0.3}
+        with pytest.raises(InputError, match=f"unknown input '{first}'"):
+            forward(net, StimulusSet(ids=("s",), values={"s": row}))
+    # A missing input is reported before any unknown key.
+    missing = StimulusSet(ids=("s",), values={"s": {"zeta": 0.0, "a": 0.1}})
+    with pytest.raises(InputError, match="assigns no value to input 'b'"):
+        forward(net, missing)

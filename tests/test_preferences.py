@@ -52,9 +52,11 @@ from genutil import (
     interp_to_sets,
     oracle_crisp_weight,
     oracle_minimal,
+    oracle_weights,
     random_alc_concept,
     random_boolean_concept,
     random_crisp_interp,
+    random_cyclic_net,
     random_feedforward_net,
     random_fuzzy_interp,
     random_rolefree_kb,
@@ -81,6 +83,33 @@ def test_weights_against_oracle(employee_kb, employee_interp):
             assert crisp_weight(
                 employee_kb, employee_interp, subject, x
             ) == oracle_crisp_weight(employee_kb, subject, x, domain, members, succ)
+
+
+def test_weights_match_the_per_default_oracle_bit_for_bit():
+    rng = random.Random(81)
+    names = ["A", "B", "C", "D"]
+    empty = gated = 0
+    for family in FAMILIES.values():
+        for _ in range(60):
+            distinguished = tuple(rng.sample(names, rng.randint(1, 3)))
+            blocks = {
+                c: tuple(
+                    DefeasibleInclusion(
+                        c, random_boolean_concept(rng, names, 2), rng.uniform(-3.0, 3.0)
+                    )
+                    for _ in range(rng.randint(0, 4))
+                )
+                for c in distinguished
+            }
+            kb = WeightedKB(distinguished=distinguished, defeasible=blocks)
+            interp = random_fuzzy_interp(rng, names, size=rng.randint(1, 7))
+            for c in distinguished:
+                got = preferences._weights(kb, interp, family, c)
+                want = oracle_weights(kb, interp, family, c)
+                assert [w.hex() for w in got] == [w.hex() for w in want]
+                empty += not blocks[c]
+                gated += NEG_INF in got
+    assert empty and gated
 
 
 def test_fuzzy_weight_gates_on_positive_membership():
@@ -472,6 +501,23 @@ def test_coherence_report_matches_pairwise_oracle(monkeypatch):
             ties = ties or len(set(finite)) < len(finite)
     assert verdicts == {(True, True), (False, True), (False, False)}
     assert neg_inf and ties
+
+
+def test_strict_coherence_implies_weak_coherence():
+    rng = random.Random(83)
+    models = list(_coherence_models())
+    for activation in ("sigmoid", "hard-sigmoid"):
+        for _ in range(10):
+            net = random_cyclic_net(rng, activation, max_width=4)
+            stimuli = random_stimuli(rng, net, rng.randint(2, 8), spread=0.5)
+            interp = build_fuzzy_interp(net, stimuli)
+            models.append(build_preferences(extract_kb(net), interp, ZADEH))
+    verdicts = set()
+    for model in models:
+        report = coherence_report(model)
+        assert report.weakly_coherent or not report.coherent
+        verdicts.add((report.coherent, report.weakly_coherent))
+    assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 def test_coherence_json_shape():
